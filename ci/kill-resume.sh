@@ -6,9 +6,10 @@
 #   2. Resume from whatever checkpoint survived on disk.
 #   3. The resumed labels must be byte-identical to an uninterrupted run.
 #
-# Also smoke-tests --mem-budget-mb: a cap far below the ~100 MB dense-matrix
-# footprint must complete through the lazy-oracle degradation path with a
-# warning and the same labels. The caller wraps this script in `timeout 60`.
+# Then the same kill/resume cycle under --mem-budget-mb 4, a cap far below
+# the ~100 MB dense-matrix footprint: the run degrades to the lazy oracle
+# (with a warning), and its resume must still produce the uncapped
+# reference labels. The caller wraps this script in `timeout 60`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,32 +37,43 @@ args=(aggregate --input "$WORK/input.csv" --algorithm local-search --no-refine)
 echo "== reference (uninterrupted) =="
 "$BIN" "${args[@]}" --output "$WORK/ref.txt"
 
-echo "== victim (SIGKILL at ~50 ms) =="
-"$BIN" "${args[@]}" --checkpoint "$WORK/run.ckpt" --checkpoint-every-ms 5 \
-    --output "$WORK/victim.txt" 2>/dev/null &
-victim=$!
-sleep 0.05
-# The O(n²) matrix build precedes the first checkpoint; killing before one
-# exists would only exercise the (also valid) fresh-start path. Hold the
-# kill until a checkpoint is on disk or the victim exits on its own.
-for _ in $(seq 1 300); do
-    [ -f "$WORK/run.ckpt" ] && break
-    kill -0 "$victim" 2>/dev/null || break
-    sleep 0.01
-done
-kill -KILL "$victim" 2>/dev/null || echo "note: run finished before the kill"
-wait "$victim" 2>/dev/null || true
-if [ -f "$WORK/run.ckpt" ]; then
-    echo "checkpoint survived the kill ($(wc -c < "$WORK/run.ckpt") bytes)"
-else
-    echo "note: killed before the first checkpoint; resume starts fresh"
-fi
+# SIGKILL a checkpointed run at ~50 ms, resume it with the same extra
+# options, and require the reference labels. $1 names the round; the rest
+# are extra aggregate options (e.g. a memory cap).
+kill_and_resume() {
+    local round=$1
+    shift
+    local ckpt="$WORK/$round.ckpt"
+    echo "== $round: victim (SIGKILL at ~50 ms) =="
+    "$BIN" "${args[@]}" "$@" --checkpoint "$ckpt" --checkpoint-every-ms 5 \
+        --output "$WORK/$round.victim.txt" 2>/dev/null &
+    victim=$!
+    sleep 0.05
+    # The O(n²) matrix build precedes the first checkpoint; killing before
+    # one exists would only exercise the (also valid) fresh-start path.
+    # Hold the kill until a checkpoint is on disk or the victim exits.
+    for _ in $(seq 1 300); do
+        [ -f "$ckpt" ] && break
+        kill -0 "$victim" 2>/dev/null || break
+        sleep 0.01
+    done
+    kill -KILL "$victim" 2>/dev/null || echo "note: run finished before the kill"
+    wait "$victim" 2>/dev/null || true
+    if [ -f "$ckpt" ]; then
+        echo "checkpoint survived the kill ($(wc -c < "$ckpt") bytes)"
+    else
+        echo "note: killed before the first checkpoint; resume starts fresh"
+    fi
 
-echo "== resume =="
-"$BIN" "${args[@]}" --checkpoint "$WORK/run.ckpt" --resume --output "$WORK/resumed.txt"
+    echo "== $round: resume =="
+    "$BIN" "${args[@]}" "$@" --checkpoint "$ckpt" --resume \
+        --output "$WORK/$round.resumed.txt"
+    cmp "$WORK/ref.txt" "$WORK/$round.resumed.txt"
+    echo "OK: $round resumed labels are byte-identical to the uninterrupted run"
+}
 
-cmp "$WORK/ref.txt" "$WORK/resumed.txt"
-echo "OK: resumed labels are byte-identical to the uninterrupted run"
+kill_and_resume uncapped
+kill_and_resume capped --mem-budget-mb 4
 
 echo "== --mem-budget-mb degradation smoke =="
 "$BIN" "${args[@]}" --mem-budget-mb 4 --output "$WORK/mem.txt" 2> "$WORK/mem.err"

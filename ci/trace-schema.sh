@@ -118,8 +118,6 @@ REQUIRED = [
     "sampling_reclustered",
     "checkpoint_saves", "checkpoint_retries", "checkpoint_failures",
     "checkpoint_corruptions",
-    "spill_tiles_written", "spill_tiles_read", "spill_tiles_rebuilt",
-    "spill_evictions", "spill_cache_hits", "spill_cache_bypass",
     "interrupts_deadline", "interrupts_iteration_cap",
     "interrupts_cancelled", "interrupts_memory",
     "faults_injected",
@@ -127,7 +125,7 @@ REQUIRED = [
 ]
 for key in REQUIRED:
     assert is_uint(metrics.get(key)), f"report: bad counter {key!r}"
-for key in ("ls_delta_hist", "checkpoint_bytes_hist", "spill_bytes_hist"):
+for key in ("ls_delta_hist", "checkpoint_bytes_hist"):
     hist = metrics.get(key)
     assert isinstance(hist, list) and len(hist) == 9 and all(map(is_uint, hist)), \
         f"report: bad histogram {key!r}"
@@ -171,7 +169,7 @@ assert isinstance(faults, list), "report: missing faults array"
 assert faults == [], f"clean run recorded injections: {faults}"
 
 print(f"trace OK: {counts['event']} events, {spans} balanced spans; "
-      f"report OK: {len(REQUIRED) + 3} metrics, {len(timings)} timed spans; "
+      f"report OK: {len(REQUIRED) + 2} metrics, {len(timings)} timed spans; "
       f"host OK: {host['arch']}/{host['cpus']}cpu tier={tier}")
 EOF
 
@@ -199,25 +197,23 @@ assert balls >= 0.5 * n**2, \
 print("OK: the Figure 5 scaling claim holds on the counters")
 EOF
 
-echo "== spilled run: spill counters must fire and labels must match =="
+echo "== capped run: the lazy oracle must serve it and labels must match =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
     --no-refine --output "$WORK/unconstrained.txt" --log-level error
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
-    --no-refine --mem-budget-mb 1 --spill-dir "$WORK/tiles" \
-    --metrics-out "$WORK/spill.json" --output "$WORK/spilled.txt" \
+    --no-refine --mem-budget-mb 1 \
+    --metrics-out "$WORK/capped.json" --output "$WORK/capped.txt" \
     --log-level error
-cmp "$WORK/unconstrained.txt" "$WORK/spilled.txt"
-python3 - "$WORK/spill.json" <<'EOF'
+cmp "$WORK/unconstrained.txt" "$WORK/capped.txt"
+python3 - "$WORK/capped.json" <<'EOF'
 import json
 import sys
 
 metrics = json.load(open(sys.argv[1]))["metrics"]
-assert metrics["spill_tiles_written"] > 0, "spill_tiles_written did not fire"
-assert metrics["spill_tiles_read"] > 0, "spill_tiles_read did not fire"
-assert sum(metrics["spill_bytes_hist"]) > 0, "spill_bytes_hist did not fire"
-print(f"OK: spilled run wrote {metrics['spill_tiles_written']} tiles, "
-      f"read {metrics['spill_tiles_read']}, "
-      f"evicted {metrics['spill_evictions']}; labels match the dense run")
+assert metrics["oracle_lazy_evals"] > 0, "oracle_lazy_evals did not fire"
+assert metrics["oracle_dense_evals"] == 0, "capped run still read a dense matrix"
+print(f"OK: capped run made {metrics['oracle_lazy_evals']} lazy evaluations; "
+      f"labels match the dense run")
 EOF
 
 echo "== forced tier: AGGCLUST_SIMD=swar must be honored and reported =="

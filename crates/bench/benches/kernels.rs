@@ -140,7 +140,7 @@ fn main() {
                     .map(|_| {
                         let start = std::time::Instant::now();
                         // The same banded pair order as
-                        // parallel::fill_condensed_banded, minus the
+                        // parallel::fill_condensed, minus the
                         // distance conversion and triangle writes.
                         for lo in (0..n).step_by(band) {
                             let hi = (lo + band).min(n);

@@ -44,6 +44,17 @@ impl Args {
         self.values.get(name).map(String::as_str)
     }
 
+    /// The first given option (value or flag) whose name is not in
+    /// `known`, for frontends that reject unrecognized options.
+    pub fn unknown(&self, known: &[&str]) -> Option<&str> {
+        self.values
+            .keys()
+            .chain(self.flags.iter())
+            .map(String::as_str)
+            .filter(|name| !known.contains(name))
+            .min()
+    }
+
     /// Parse `--name value` as a type, falling back to a default.
     ///
     /// An unparsable value prints a one-line usage error and exits with the
@@ -116,6 +127,15 @@ mod tests {
         assert!(a.flag("full"));
         assert!(!a.flag("quick"));
         assert_eq!(a.get_or("scale", 1.0f64), 0.5);
+    }
+
+    #[test]
+    fn unknown_reports_options_outside_the_known_set() {
+        let a = args(&["--seed", "42", "--full", "--zeta", "1", "--alpha"]);
+        assert_eq!(a.unknown(&["seed", "full", "zeta", "alpha"]), None);
+        // Deterministic: the lexicographically first unknown name.
+        assert_eq!(a.unknown(&["seed", "full"]), Some("alpha"));
+        assert_eq!(args(&[]).unknown(&[]), None);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use aggclust_core::instance::MissingPolicy;
 use aggclust_core::iofs;
 use aggclust_core::obs;
 use aggclust_core::snapshot::{load_snapshot, RetryPolicy, SnapshotLoad};
-use aggclust_core::spill::cleanup_spill_dir;
 use aggclust_core::{AggError, CancelToken, RunBudget, RunStatus};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -65,7 +64,7 @@ COMMON OPTIONS:
     --fault-plan SPEC     arm deterministic fault injection for this run
                           (robustness testing): comma-separated clauses
                           like snapshot.rename=io_error:nth=3 or
-                          spill.write=torn:prob=0.25:seed=7; see DESIGN.md
+                          snapshot.write=torn:prob=0.25:seed=7; see DESIGN.md
                           section 6i for the site catalog and grammar. The
                           AGGCLUST_FAULTS environment variable sets the
                           default, the flag wins
@@ -81,22 +80,14 @@ AGGREGATE OPTIONS:
     --sampling-threshold N
                           switch to SAMPLING above this many objects
                           (default 6000); raise it to keep large instances
-                          on the dense/spilled path
+                          off the SAMPLING path
     --seed N              RNG seed (default 0)
     --deadline-ms N       wall-clock run budget; on expiry the best
                           clustering found so far is still written
     --max-iters N         iteration budget (same anytime semantics)
     --mem-budget-mb N     tracked-memory cap; runs that would exceed it
-                          degrade (dense matrix -> disk spill -> lazy
-                          oracle / sampling) instead of allocating past
-                          the cap
-    --spill-dir PATH      directory for out-of-core condensed-matrix tiles
-                          when the memory cap refuses the dense matrix
-                          (checksummed frames, bit-identical distances;
-                          default: '<checkpoint>.spill' when --checkpoint
-                          is set, otherwise spilling is off); tiles are
-                          removed on converged success and valid orphans
-                          are reclaimed on --resume
+                          degrade (dense matrix -> lazy oracle /
+                          sampling) instead of allocating past the cap
     --checkpoint PATH     crash-safe checkpoint file, written atomically
                           while the run is in flight and deleted on
                           converged success; SIGINT also flushes a final
@@ -124,6 +115,36 @@ EXIT CODES:
         were written)
     9   memory budget exceeded with no degraded mode available
 ";
+
+/// Every option documented in [`HELP`]; anything else is a usage error
+/// rather than being silently ignored.
+const KNOWN_OPTIONS: &[&str] = &[
+    "input",
+    "separator",
+    "header",
+    "missing",
+    "threads",
+    "log-level",
+    "trace-out",
+    "progress",
+    "metrics-out",
+    "fault-plan",
+    "algorithm",
+    "alpha",
+    "no-refine",
+    "exact",
+    "sample",
+    "sampling-threshold",
+    "seed",
+    "deadline-ms",
+    "max-iters",
+    "mem-budget-mb",
+    "checkpoint",
+    "checkpoint-every-ms",
+    "resume",
+    "output",
+    "candidate",
+];
 
 /// A CLI failure, mapped one-to-one onto the exit codes documented in
 /// `aggclust help`. Every error prints as a single human-readable line —
@@ -197,6 +218,11 @@ fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().unwrap_or_else(|| "help".to_string());
     let args = Args::parse(argv);
+    if let Some(option) = args.unknown(KNOWN_OPTIONS) {
+        let e = CliError::Usage(format!("unknown option --{option}; try `aggclust help`"));
+        eprintln!("error: {}", e.message()); // lint:allow-eprintln
+        return ExitCode::from(e.exit_code());
+    }
     let metrics_out = match setup_telemetry(&args) {
         Ok(path) => path,
         Err(e) => {
@@ -491,19 +517,6 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
             "--resume requires --checkpoint PATH".to_string(),
         ));
     }
-    // Out-of-core spill: explicit --spill-dir wins; otherwise checkpointed
-    // runs default to a sibling '<checkpoint>.spill' directory so a killed
-    // spilled run leaves its tiles where --resume will reclaim them.
-    let spill_dir = args.get("spill-dir").map(PathBuf::from).or_else(|| {
-        checkpoint_path.as_ref().map(|p| {
-            let mut os = p.as_os_str().to_os_string();
-            os.push(".spill");
-            PathBuf::from(os)
-        })
-    });
-    if let Some(dir) = &spill_dir {
-        builder = builder.spill_dir(dir);
-    }
     let result = builder.try_aggregate_partial(inputs)?;
     // Degradation warnings surface through the telemetry layer: the core
     // emits each `Warning` as a warn-level event the moment it is recorded,
@@ -538,8 +551,7 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
     }
     match result.status {
         RunStatus::Converged => {
-            // The run finished; the checkpoint has nothing left to resume
-            // and any spilled tiles have nothing left to serve.
+            // The run finished; the checkpoint has nothing left to resume.
             if let Some(path) = &checkpoint_path {
                 if let Err(e) = iofs::remove_file("cli.cleanup", path) {
                     if e.kind() != std::io::ErrorKind::NotFound {
@@ -548,15 +560,6 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
                             path.display()
                         ));
                     }
-                }
-            }
-            if let Some(dir) = &spill_dir {
-                let removed = cleanup_spill_dir(dir);
-                if removed > 0 {
-                    obs::info!(format!(
-                        "removed {removed} spilled tiles from {}",
-                        dir.display()
-                    ));
                 }
             }
             Ok(())

@@ -217,6 +217,17 @@ fn exit_code_2_on_usage_errors() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // Unknown options are rejected, not ignored — including ones that
+    // earlier versions accepted (the out-of-core tile directory option).
+    for option in ["--frobnicate", "--spill-dir"] {
+        let out = bin()
+            .args(["aggregate", "--input", input.to_str().unwrap(), option, "x"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{option}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown option"), "{option}: {stderr}");
+    }
     fs::remove_file(input).ok();
 }
 

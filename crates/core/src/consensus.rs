@@ -35,7 +35,6 @@ use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
 use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
-use crate::spill::{SpillConfig, SpillError, SpilledOracle};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -58,24 +57,6 @@ pub enum Warning {
         limit: u64,
         /// The clamped sample size actually used.
         sample_size: usize,
-    },
-    /// The dense distance matrix was refused by the memory cap and the run
-    /// spilled it to disk as checksummed tiles (see [`crate::spill`]),
-    /// keeping every pairwise distance bit-identical to the dense run.
-    MemoryDegradedToSpill {
-        /// Bytes the dense matrix would have needed.
-        requested: u64,
-        /// The configured memory cap in bytes.
-        limit: u64,
-        /// Number of tile frames the matrix was split into.
-        tiles: usize,
-    },
-    /// Spilling to disk was configured but failed persistently (out of
-    /// disk space, unwritable directory); the run degraded one more step,
-    /// to the lazy oracle.
-    SpillFailed {
-        /// The rendered I/O error.
-        reason: String,
     },
     /// The dense distance matrix was refused by the memory cap and the run
     /// fell back to the `O(n·m)` lazy oracle.
@@ -117,8 +98,6 @@ impl Warning {
     pub fn kind(&self) -> &'static str {
         match self {
             Warning::MemoryDegradedToSampling { .. } => "memory_degraded_to_sampling",
-            Warning::MemoryDegradedToSpill { .. } => "memory_degraded_to_spill",
-            Warning::SpillFailed { .. } => "spill_failed",
             Warning::MemoryDegradedToLazyOracle { .. } => "memory_degraded_to_lazy_oracle",
             Warning::MatrixBuildInterrupted => "matrix_build_interrupted",
             Warning::SamplingStoppedEarly { .. } => "sampling_stopped_early",
@@ -141,21 +120,6 @@ impl fmt::Display for Warning {
                 f,
                 "memory budget: dense distance matrix needs {requested} bytes \
                  (cap {limit}); degrading to SAMPLING with sample size {sample_size}"
-            ),
-            Warning::MemoryDegradedToSpill {
-                requested,
-                limit,
-                tiles,
-            } => write!(
-                f,
-                "memory budget: dense distance matrix needs {requested} bytes \
-                 (cap {limit}); spilling the condensed matrix to disk as \
-                 {tiles} checksummed tiles (distances stay bit-identical)"
-            ),
-            Warning::SpillFailed { reason } => write!(
-                f,
-                "spill to disk failed ({reason}); degrading to the next \
-                 fallback instead"
             ),
             Warning::MemoryDegradedToLazyOracle { requested, limit } => write!(
                 f,
@@ -242,7 +206,6 @@ pub struct ConsensusBuilder {
     checkpoint_path: Option<PathBuf>,
     checkpoint_every: Duration,
     resume_from: Option<Snapshot>,
-    spill_dir: Option<PathBuf>,
 }
 
 impl Default for ConsensusBuilder {
@@ -259,7 +222,6 @@ impl Default for ConsensusBuilder {
             checkpoint_path: None,
             checkpoint_every: Duration::from_millis(250),
             resume_from: None,
-            spill_dir: None,
         }
     }
 }
@@ -345,19 +307,6 @@ impl ConsensusBuilder {
     /// Only honored by the budgeted `try_aggregate` entry points.
     pub fn resume_from(mut self, snapshot: Snapshot) -> Self {
         self.resume_from = Some(snapshot);
-        self
-    }
-
-    /// When the memory cap refuses the dense distance matrix, spill it to
-    /// disk as checksummed tiles under `dir` (see [`crate::spill`]) instead
-    /// of degrading straight to the lazy oracle. Distances served from the
-    /// spill store are bit-identical to the dense run at any thread count.
-    /// Only honored by the budgeted `try_aggregate` entry points; not used
-    /// by AGGLOMERATIVE, which needs a mutable in-RAM matrix and keeps its
-    /// clamped-SAMPLING fallback. Valid orphaned tiles already in `dir`
-    /// (from a killed run) are reclaimed. Default: off.
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
         self
     }
 
@@ -543,57 +492,6 @@ impl ConsensusBuilder {
                         &mut ckpt,
                         resume_main,
                     );
-                }
-                // Next step down the chain: spill the condensed matrix to
-                // disk when a spill directory is configured. Distances off
-                // the spill store are bit-identical to the dense run, so
-                // this degrades memory, not answers.
-                if let Some(dir) = &self.spill_dir {
-                    match SpilledOracle::try_build(&instance, &self.budget, &SpillConfig::new(dir))
-                    {
-                        Ok(spilled) => {
-                            push_warning(
-                                &mut warnings,
-                                Warning::MemoryDegradedToSpill {
-                                    requested,
-                                    limit,
-                                    tiles: spilled.tiles(),
-                                },
-                            );
-                            return self.finish_with_oracle(
-                                &spilled,
-                                n,
-                                m,
-                                warnings,
-                                &mut ckpt,
-                                resume_main,
-                                resume_refine,
-                            );
-                        }
-                        Err(SpillError::Interrupted(interrupt)) => {
-                            push_warning(&mut warnings, Warning::MatrixBuildInterrupted);
-                            return Ok(ConsensusResult {
-                                clustering: Clustering::singletons(n),
-                                cost: f64::NAN,
-                                disagreements: 0,
-                                lower_bound: None,
-                                sampled: false,
-                                status: interrupt.status(),
-                                warnings,
-                            });
-                        }
-                        Err(err @ SpillError::Io { .. }) => {
-                            // ENOSPC / dead disk: record the typed warning
-                            // and take one more step down, to the lazy
-                            // oracle.
-                            push_warning(
-                                &mut warnings,
-                                Warning::SpillFailed {
-                                    reason: err.to_string(),
-                                },
-                            );
-                        }
-                    }
                 }
                 push_warning(
                     &mut warnings,
@@ -933,31 +831,38 @@ mod tests {
     fn memory_cap_degrades_localsearch_to_the_lazy_oracle() {
         // 40 objects: dense matrix = 40·39/2·8 = 6240 bytes. A 6000-byte
         // cap refuses it; LOCALSEARCH is oracle-generic so the run degrades
-        // to the lazy oracle and still produces the same labels.
+        // to the lazy oracle and still produces the same labels, at every
+        // thread count.
         let truth: Vec<u32> = (0..40).map(|v| v / 10).collect();
         let inputs = vec![c(&truth); 3];
         let reference = ConsensusBuilder::new()
             .algorithm(Algorithm::LocalSearch(Default::default()))
             .try_aggregate(&inputs)
             .unwrap();
-        let capped = ConsensusBuilder::new()
-            .algorithm(Algorithm::LocalSearch(Default::default()))
-            .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
-            .try_aggregate(&inputs)
-            .unwrap();
-        assert_eq!(capped.clustering, reference.clustering);
-        assert!(capped.status.is_converged());
-        assert!(!capped.sampled);
-        assert!(
-            capped
-                .warnings
-                .iter()
-                .any(|w| w.to_string().contains("lazy oracle")),
-            "{:?}",
-            capped.warnings
-        );
-        // All tracked memory is released by the end of the run.
-        assert_eq!(capped.cost, reference.cost);
+        for threads in [1usize, 2, 4] {
+            let capped = crate::parallel::with_num_threads(threads, || {
+                ConsensusBuilder::new()
+                    .algorithm(Algorithm::LocalSearch(Default::default()))
+                    .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
+                    .try_aggregate(&inputs)
+                    .unwrap()
+            });
+            assert_eq!(
+                capped.clustering, reference.clustering,
+                "labels diverge at {threads} threads"
+            );
+            assert!(capped.status.is_converged());
+            assert!(!capped.sampled);
+            assert!(
+                capped
+                    .warnings
+                    .iter()
+                    .any(|w| w.to_string().contains("lazy oracle")),
+                "{threads} threads: {:?}",
+                capped.warnings
+            );
+            assert_eq!(capped.cost, reference.cost, "{threads} threads");
+        }
     }
 
     #[test]
@@ -1090,23 +995,6 @@ mod tests {
                  using the O(n·m) lazy oracle instead (slower, no quadratic memory)",
             ),
             (
-                Warning::MemoryDegradedToSpill {
-                    requested: 6240,
-                    limit: 2000,
-                    tiles: 13,
-                },
-                "memory budget: dense distance matrix needs 6240 bytes (cap 2000); \
-                 spilling the condensed matrix to disk as 13 checksummed tiles \
-                 (distances stay bit-identical)",
-            ),
-            (
-                Warning::SpillFailed {
-                    reason: "spill I/O failed at /tmp/x: No space left on device".to_string(),
-                },
-                "spill to disk failed (spill I/O failed at /tmp/x: \
-                 No space left on device); degrading to the next fallback instead",
-            ),
-            (
                 Warning::MatrixBuildInterrupted,
                 "budget exhausted while building the distance matrix; \
                  returning the all-singletons clustering",
@@ -1142,90 +1030,6 @@ mod tests {
         for (warning, expected) in cases {
             assert_eq!(warning.to_string(), expected, "{}", warning.kind());
         }
-    }
-
-    #[test]
-    fn spilled_run_matches_the_unconstrained_run_at_every_thread_count() {
-        let n = 120;
-        let inputs: Vec<Clustering> = (0..4)
-            .map(|i| {
-                c(&(0..n)
-                    .map(|v| ((v * (i + 2) + i) % (4 + i)) as u32)
-                    .collect::<Vec<_>>())
-            })
-            .collect();
-        let build = || {
-            ConsensusBuilder::new()
-                .algorithm(Algorithm::Balls(BallsParams::practical()))
-                .seed(7)
-        };
-        let unconstrained = build().try_aggregate(&inputs).unwrap();
-        assert!(unconstrained.warnings.is_empty());
-        let dir = std::env::temp_dir().join("aggclust_consensus_spill");
-        std::fs::remove_dir_all(&dir).ok();
-        for threads in [1usize, 2, 4] {
-            let spilled = crate::parallel::with_num_threads(threads, || {
-                build()
-                    .budget(RunBudget::unlimited().with_mem_limit_bytes(16 * 1024))
-                    .spill_dir(&dir)
-                    .try_aggregate(&inputs)
-                    .unwrap()
-            });
-            assert_eq!(
-                spilled.clustering, unconstrained.clustering,
-                "labels diverge at {threads} threads"
-            );
-            assert!(
-                spilled
-                    .warnings
-                    .iter()
-                    .any(|w| matches!(w, Warning::MemoryDegradedToSpill { .. })),
-                "missing spill warning at {threads} threads: {:?}",
-                spilled.warnings
-            );
-            assert!(
-                !spilled.warnings.iter().any(|w| matches!(
-                    w,
-                    Warning::MemoryDegradedToSampling { .. }
-                        | Warning::MemoryDegradedToLazyOracle { .. }
-                )),
-                "degraded past the spill step at {threads} threads"
-            );
-            assert!(!spilled.sampled);
-            crate::spill::cleanup_spill_dir(&dir);
-        }
-    }
-
-    #[test]
-    fn unwritable_spill_dir_degrades_to_lazy_with_a_typed_warning() {
-        let n = 80;
-        let inputs: Vec<Clustering> = (0..3)
-            .map(|i| c(&(0..n).map(|v| ((v + i) % 5) as u32).collect::<Vec<_>>()))
-            .collect();
-        // A file where the spill directory should be forces the Io error.
-        let blocker = std::env::temp_dir().join("aggclust_consensus_spill_blocker");
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let result = ConsensusBuilder::new()
-            .algorithm(Algorithm::Balls(BallsParams::practical()))
-            .budget(RunBudget::unlimited().with_mem_limit_bytes(8 * 1024))
-            .spill_dir(blocker.join("tiles"))
-            .try_aggregate(&inputs)
-            .unwrap();
-        std::fs::remove_file(&blocker).ok();
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| matches!(w, Warning::SpillFailed { .. })));
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| matches!(w, Warning::MemoryDegradedToLazyOracle { .. })));
-        // The lazy fallback still produces the unconstrained answer.
-        let unconstrained = ConsensusBuilder::new()
-            .algorithm(Algorithm::Balls(BallsParams::practical()))
-            .try_aggregate(&inputs)
-            .unwrap();
-        assert_eq!(result.clustering, unconstrained.clustering);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic failpoint injection: named sites, seeded fault plans.
 //!
 //! Robustness claims ("checkpoint failures degrade to warnings", "a torn
-//! spill frame is rebuilt, not trusted") are only as good as the failure
+//! checkpoint is detected, not trusted") are only as good as the failure
 //! paths a test can actually reach. This module provides the missing
 //! lever: a registry of **named injection sites** threaded through every
 //! filesystem touch (via [`crate::iofs`]), the budget clock, and the
@@ -22,7 +22,7 @@
 //!
 //! ```text
 //! snapshot.rename=io_error:nth=3      fail the 3rd checkpoint rename
-//! spill.write=torn:prob=0.25:seed=7   silently truncate ~25% of tile writes
+//! snapshot.write=torn:prob=0.25:seed=7  silently truncate ~25% of checkpoint writes
 //! cli.input=enospc                    every dataset read reports ENOSPC
 //! snapshot.fsync=delay:ms=40          each checkpoint fsync sleeps 40 ms
 //! clock=skew:ms=50                    the budget clock runs 50 ms fast
@@ -719,13 +719,13 @@ mod tests {
     fn grammar_round_trips_the_documented_examples() {
         for spec in [
             "snapshot.rename=io_error:nth=3",
-            "spill.write=torn:prob=0.25:seed=7",
+            "snapshot.write=torn:prob=0.25:seed=7",
             "clock=skew:ms=50",
             "alloc=fail:after_mb=32",
             "cli.input=enospc",
             "snapshot.fsync=delay:ms=40",
-            "snapshot.rename=io_error:nth=3,spill.write=torn:prob=0.25:seed=7",
-            "spill.write=torn:path=/tmp/mine",
+            "snapshot.rename=io_error:nth=3,snapshot.write=torn:prob=0.25:seed=7",
+            "snapshot.write=torn:path=/tmp/mine",
         ] {
             assert!(FaultPlan::parse(spec).is_ok(), "{spec:?} must parse");
         }
@@ -746,7 +746,7 @@ mod tests {
             "clock=skew",
             "alloc=skew:ms=5",
             "alloc=fail",
-            "spill.write=fail:after_mb=1",
+            "snapshot.write=fail:after_mb=1",
         ] {
             match FaultPlan::parse(spec) {
                 Err(AggError::InvalidParameter { .. }) => {}
@@ -763,7 +763,7 @@ mod tests {
         assert!(!armed());
         assert!(check("snapshot.rename", 0).is_none());
         assert!(fp!("snapshot.rename").is_none());
-        assert!(fp!("spill.write", 4096).is_none());
+        assert!(fp!("snapshot.write", 4096).is_none());
         assert!(alloc_check(1 << 30).is_none());
         assert_eq!(clock_skew_ns(), 0);
     }

@@ -176,11 +176,16 @@ impl DenseOracle {
     /// in parallel row chunks (see [`crate::parallel`]). Produces exactly
     /// the same matrix as [`DenseOracle::from_fn`] at any thread count.
     pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        let data = crate::parallel::fill_condensed(n, |u, v| {
-            let d = f(u, v);
-            debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
-            d
-        });
+        let data = crate::parallel::fill_condensed(
+            n,
+            n,
+            || (),
+            crate::parallel::pairwise(|u, v| {
+                let d = f(u, v);
+                debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
+                d
+            }),
+        );
         DenseOracle {
             n,
             data,
@@ -273,48 +278,12 @@ impl DenseOracle {
     }
 
     /// Build directly from total clusterings: `X_uv` is the fraction of
-    /// clusterings separating `u` and `v`.
-    ///
-    /// The inputs are transposed once into a packed [`LabelMatrix`] and
-    /// every pair is answered by the SWAR separation kernel
-    /// ([`crate::kernels`]), filled in cache-blocked bands — same values
-    /// as the scalar per-clustering walk, at a fraction of the memory
-    /// traffic.
+    /// clusterings separating `u` and `v`. Same matrix as
+    /// [`CorrelationInstance::dense_oracle`] on the same inputs, which
+    /// answers every pair with the batched separation kernel
+    /// ([`crate::kernels`]).
     pub fn from_clusterings(clusterings: &[Clustering]) -> Self {
-        assert!(!clusterings.is_empty(), "need at least one clustering");
-        let n = clusterings[0].len();
-        assert!(
-            clusterings.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
-        let _span = crate::span!("dense_build", n = n, m = clusterings.len());
-        let m = clusterings.len() as f64;
-        let matrix = LabelMatrix::from_total(clusterings);
-        let band = matrix.preferred_band();
-        // One scratch count buffer per worker job, reused across every row
-        // segment it fills (the `kernels_row_batches` counter tracks how
-        // many batches share each buffer).
-        let data = crate::parallel::fill_condensed_banded_rows_scratch(
-            n,
-            band,
-            || vec![0u32; band],
-            |counts: &mut Vec<u32>, u, vs, seg| {
-                let counts = &mut counts[..seg.len()];
-                matrix.sep_row_into(u, vs.start, counts);
-                for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                    let d = c as f64 / m;
-                    debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
-                    *entry = d;
-                }
-            },
-        );
-        crate::telemetry::count_packed_evals((n * n.saturating_sub(1) / 2) as u64);
-        DenseOracle {
-            n,
-            data,
-            m: Some(clusterings.len()),
-            charge: None,
-        }
+        CorrelationInstance::from_clusterings(clusterings).dense_oracle()
     }
 
     /// Build from *weighted* clusterings: `X_uv` is the weight fraction of
@@ -388,7 +357,7 @@ impl DenseOracle {
             })
             .min()
             .unwrap_or(kernels::PACKED_BAND);
-        let data = crate::parallel::fill_condensed_banded_rows_scratch(
+        let data = crate::parallel::fill_condensed(
             n,
             band,
             || vec![0u32; band],
@@ -729,41 +698,61 @@ impl CorrelationInstance {
         self.inputs.iter().all(|c| c.num_missing() == 0)
     }
 
-    /// Precompute the full distance matrix (`O(n² m)` time, `O(n²)` space).
-    /// Pairs are served by the packed lazy oracle and filled in
-    /// cache-blocked bands — same values as a row-major scalar fill.
-    /// All-total inputs go through the batched `sep_row_into` kernel
-    /// (one scratch buffer per worker, counted by `kernels_row_batches`);
-    /// genuinely partial inputs stay on the per-pair `sep_missing` path.
+    /// Precompute the full distance matrix (`O(n² m)` time, `O(n²)` space),
+    /// filled in cache-blocked bands — same values as a row-major scalar
+    /// fill. All-total inputs go through the batched `sep_row_into`
+    /// kernel; genuinely partial inputs stay on the per-pair
+    /// `sep_missing` path.
     pub fn dense_oracle(&self) -> DenseOracle {
         let _span = crate::span!("dense_build", n = self.n, m = self.inputs.len());
         let lazy = self.lazy_oracle();
         let band = lazy.preferred_band();
-        let data = if self.all_total() {
-            let m = self.inputs.len() as f64;
-            let matrix = lazy.packed();
-            let data = crate::parallel::fill_condensed_banded_rows_scratch(
-                self.n,
-                band,
-                || vec![0u32; band],
-                |counts: &mut Vec<u32>, u, vs, seg| {
-                    let counts = &mut counts[..seg.len()];
-                    matrix.sep_row_into(u, vs.start, counts);
-                    for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                        *entry = f64::from(c) / m;
-                    }
-                },
-            );
-            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
-            data
-        } else {
-            crate::parallel::fill_condensed_banded(self.n, band, |u, v| lazy.dist(u, v))
-        };
+        let data = crate::parallel::fill_condensed(
+            self.n,
+            band,
+            || vec![0u32; band],
+            self.dense_segment(&lazy),
+        );
+        self.count_dense_fill();
         DenseOracle {
             n: self.n,
             data,
             m: Some(self.inputs.len()),
             charge: None,
+        }
+    }
+
+    /// The row-segment body shared by the dense fills. All-total inputs go
+    /// through the batched `sep_row_into` kernel (`X_uv = sep / m`, one
+    /// scratch count buffer per worker job, counted by
+    /// `kernels_row_batches`); genuinely partial inputs stay on the
+    /// per-pair `sep_missing` path of the lazy oracle.
+    fn dense_segment<'a>(
+        &self,
+        lazy: &'a ClusteringsOracle,
+    ) -> impl Fn(&mut Vec<u32>, usize, std::ops::Range<usize>, &mut [f64]) + Sync + 'a {
+        let all_total = self.all_total();
+        let m = self.inputs.len() as f64;
+        move |counts, u, vs, seg| {
+            if all_total {
+                let counts = &mut counts[..seg.len()];
+                lazy.packed().sep_row_into(u, vs.start, counts);
+                for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
+                    *entry = f64::from(c) / m;
+                }
+            } else {
+                for (entry, v) in seg.iter_mut().zip(vs) {
+                    *entry = lazy.dist(u, v);
+                }
+            }
+        }
+    }
+
+    /// Packed-evaluation count of a completed batched dense fill (the
+    /// per-pair path counts its own evaluations inside `dist`).
+    fn count_dense_fill(&self) {
+        if self.all_total() {
+            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
         }
     }
 
@@ -794,34 +783,14 @@ impl CorrelationInstance {
         // duration without holding it against the cap afterwards.
         let packed_charge = budget.mem_gauge().charge(lazy.packed_bytes());
         let band = lazy.preferred_band();
-        // Same all-total batching split as [`CorrelationInstance::
-        // dense_oracle`], threaded through the budget-polling fills.
-        let data = if self.all_total() {
-            let m = self.inputs.len() as f64;
-            let matrix = lazy.packed();
-            let data = crate::parallel::try_fill_condensed_banded_rows_scratch(
-                self.n,
-                band,
-                || vec![0u32; band],
-                |counts: &mut Vec<u32>, u, vs, seg| {
-                    let counts = &mut counts[..seg.len()];
-                    matrix.sep_row_into(u, vs.start, counts);
-                    for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                        *entry = f64::from(c) / m;
-                    }
-                },
-                budget,
-            )?;
-            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
-            data
-        } else {
-            crate::parallel::try_fill_condensed_banded(
-                self.n,
-                band,
-                |u, v| lazy.dist(u, v),
-                budget,
-            )?
-        };
+        let data = crate::parallel::try_fill_condensed(
+            self.n,
+            band,
+            || vec![0u32; band],
+            self.dense_segment(&lazy),
+            budget,
+        )?;
+        self.count_dense_fill();
         drop(packed_charge);
         Ok(DenseOracle {
             n: self.n,

@@ -73,9 +73,8 @@ pub struct CondensedMatrix {
 }
 
 impl CondensedMatrix {
-    /// Build from a distance function over pairs `u < v`, serially. Kept
-    /// for stateful `FnMut` closures; prefer
-    /// [`CondensedMatrix::from_fn_sync`] for pure distance functions.
+    /// Build from a distance function over pairs `u < v`, serially (also
+    /// accepts stateful `FnMut` closures).
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         for u in 0..n {
@@ -90,17 +89,6 @@ impl CondensedMatrix {
         }
     }
 
-    /// Build from a pure distance function, filling the triangle in
-    /// parallel row chunks. Same matrix as [`CondensedMatrix::from_fn`] at
-    /// any thread count.
-    pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        CondensedMatrix {
-            n,
-            data: parallel::fill_condensed(n, f),
-            charge: None,
-        }
-    }
-
     /// Copy the distances out of any [`DistanceOracle`] (in parallel),
     /// walking pairs in cache-blocked column bands so packed lazy oracles
     /// ([`crate::instance::ClusteringsOracle`]) stream their label rows
@@ -108,9 +96,12 @@ impl CondensedMatrix {
     pub fn from_oracle<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Self {
         CondensedMatrix {
             n: oracle.len(),
-            data: parallel::fill_condensed_banded(oracle.len(), oracle.preferred_band(), |u, v| {
-                oracle.dist(u, v)
-            }),
+            data: parallel::fill_condensed(
+                oracle.len(),
+                oracle.preferred_band(),
+                || (),
+                parallel::pairwise(|u, v| oracle.dist(u, v)),
+            ),
             charge: None,
         }
     }
@@ -128,10 +119,11 @@ impl CondensedMatrix {
         let n = oracle.len();
         let bytes = (n as u64) * (n.saturating_sub(1) as u64) / 2 * 8;
         let charge = budget.try_reserve(bytes)?;
-        let data = parallel::try_fill_condensed_banded(
+        let data = parallel::try_fill_condensed(
             n,
             oracle.preferred_band(),
-            |u, v| oracle.dist(u, v),
+            || (),
+            parallel::pairwise(|u, v| oracle.dist(u, v)),
             budget,
         )?;
         Ok(CondensedMatrix {

@@ -312,15 +312,6 @@ impl ResourceBudget {
         &self.gauge
     }
 
-    /// Bytes still reservable before the memory ceiling: `limit − used`,
-    /// saturating at zero. `None` when no cap is set (headroom unbounded).
-    /// Degraded modes size themselves with this — the sampling clamp and
-    /// the spill tile cache both fit their working set into it.
-    pub fn headroom_bytes(&self) -> Option<u64> {
-        self.mem_limit
-            .map(|limit| limit.saturating_sub(self.gauge.used_bytes()))
-    }
-
     /// Ask permission for a large allocation of `bytes`.
     ///
     /// With no memory cap this always succeeds (the bytes are still

@@ -336,12 +336,11 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared envelope codec (snapshots, spill tiles)
+// Envelope codec
 // ---------------------------------------------------------------------------
 
 /// Wrap `payload` in the standard envelope: `magic | version | payload length
-/// (u64) | CRC32(payload) | payload`. The same layout guards both checkpoint
-/// files and spilled condensed-matrix tiles; only the magic differs.
+/// (u64) | CRC32(payload) | payload`.
 pub(crate) fn encode_envelope(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(magic);
@@ -1210,7 +1209,7 @@ mod tests {
 
     #[test]
     fn envelope_round_trips_for_foreign_magic() {
-        let magic = *b"AGGTILE\0";
+        let magic = *b"AGGOTHER";
         let payload = vec![1u8, 2, 3, 4, 5];
         let bytes = encode_envelope(&magic, 7, &payload);
         assert_eq!(

@@ -929,24 +929,6 @@ pub struct Metrics {
     pub checkpoint_corruptions: Counter,
     /// Encoded snapshot sizes in bytes (power-of-ten buckets).
     pub checkpoint_bytes_hist: Histogram,
-    /// Condensed-matrix tiles written to the spill directory.
-    pub spill_tiles_written: Counter,
-    /// Spilled tiles read back from disk into the pinned cache.
-    pub spill_tiles_read: Counter,
-    /// Spilled tiles rebuilt from the packed labels after a CRC mismatch,
-    /// torn read, or missing frame.
-    pub spill_tiles_rebuilt: Counter,
-    /// Pinned tiles evicted from RAM to stay under the memory budget.
-    pub spill_evictions: Counter,
-    /// Spilled-oracle lookups served from a tile already pinned in RAM
-    /// (the thread-local memo or the LRU cache) — no disk touch.
-    pub spill_cache_hits: Counter,
-    /// Spilled-oracle lookups that bypassed the tile store to the lazy
-    /// `O(m)` oracle (tile not resident and the anti-thrash policy
-    /// declined to reload it).
-    pub spill_cache_bypass: Counter,
-    /// Encoded spill-frame sizes in bytes (power-of-ten buckets).
-    pub spill_bytes_hist: Histogram,
     /// Anytime stops caused by the wall-clock deadline.
     pub interrupts_deadline: Counter,
     /// Anytime stops caused by the iteration cap.
@@ -990,13 +972,6 @@ static METRICS: Metrics = Metrics {
     checkpoint_failures: Counter::new(),
     checkpoint_corruptions: Counter::new(),
     checkpoint_bytes_hist: Histogram::new(POW10_BOUNDS),
-    spill_tiles_written: Counter::new(),
-    spill_tiles_read: Counter::new(),
-    spill_tiles_rebuilt: Counter::new(),
-    spill_evictions: Counter::new(),
-    spill_cache_hits: Counter::new(),
-    spill_cache_bypass: Counter::new(),
-    spill_bytes_hist: Histogram::new(POW10_BOUNDS),
     interrupts_deadline: Counter::new(),
     interrupts_iteration_cap: Counter::new(),
     interrupts_cancelled: Counter::new(),
@@ -1081,20 +1056,6 @@ pub struct MetricsSnapshot {
     pub checkpoint_corruptions: u64,
     /// See [`Metrics::checkpoint_bytes_hist`].
     pub checkpoint_bytes_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::spill_tiles_written`].
-    pub spill_tiles_written: u64,
-    /// See [`Metrics::spill_tiles_read`].
-    pub spill_tiles_read: u64,
-    /// See [`Metrics::spill_tiles_rebuilt`].
-    pub spill_tiles_rebuilt: u64,
-    /// See [`Metrics::spill_evictions`].
-    pub spill_evictions: u64,
-    /// See [`Metrics::spill_cache_hits`].
-    pub spill_cache_hits: u64,
-    /// See [`Metrics::spill_cache_bypass`].
-    pub spill_cache_bypass: u64,
-    /// See [`Metrics::spill_bytes_hist`].
-    pub spill_bytes_hist: [u64; HISTOGRAM_BUCKETS],
     /// See [`Metrics::interrupts_deadline`].
     pub interrupts_deadline: u64,
     /// See [`Metrics::interrupts_iteration_cap`].
@@ -1140,13 +1101,6 @@ impl MetricsSnapshot {
             checkpoint_failures: m.checkpoint_failures.get(),
             checkpoint_corruptions: m.checkpoint_corruptions.get(),
             checkpoint_bytes_hist: m.checkpoint_bytes_hist.counts(),
-            spill_tiles_written: m.spill_tiles_written.get(),
-            spill_tiles_read: m.spill_tiles_read.get(),
-            spill_tiles_rebuilt: m.spill_tiles_rebuilt.get(),
-            spill_evictions: m.spill_evictions.get(),
-            spill_cache_hits: m.spill_cache_hits.get(),
-            spill_cache_bypass: m.spill_cache_bypass.get(),
-            spill_bytes_hist: m.spill_bytes_hist.counts(),
             interrupts_deadline: m.interrupts_deadline.get(),
             interrupts_iteration_cap: m.interrupts_iteration_cap.get(),
             interrupts_cancelled: m.interrupts_cancelled.get(),
@@ -1230,23 +1184,6 @@ impl MetricsSnapshot {
                 &self.checkpoint_bytes_hist,
                 &earlier.checkpoint_bytes_hist,
             ),
-            spill_tiles_written: self
-                .spill_tiles_written
-                .saturating_sub(earlier.spill_tiles_written),
-            spill_tiles_read: self
-                .spill_tiles_read
-                .saturating_sub(earlier.spill_tiles_read),
-            spill_tiles_rebuilt: self
-                .spill_tiles_rebuilt
-                .saturating_sub(earlier.spill_tiles_rebuilt),
-            spill_evictions: self.spill_evictions.saturating_sub(earlier.spill_evictions),
-            spill_cache_hits: self
-                .spill_cache_hits
-                .saturating_sub(earlier.spill_cache_hits),
-            spill_cache_bypass: self
-                .spill_cache_bypass
-                .saturating_sub(earlier.spill_cache_bypass),
-            spill_bytes_hist: hist_diff(&self.spill_bytes_hist, &earlier.spill_bytes_hist),
             interrupts_deadline: self
                 .interrupts_deadline
                 .saturating_sub(earlier.interrupts_deadline),
@@ -1372,25 +1309,6 @@ impl MetricsSnapshot {
             false,
         );
         push(
-            "spill_tiles_written",
-            self.spill_tiles_written.to_string(),
-            false,
-        );
-        push("spill_tiles_read", self.spill_tiles_read.to_string(), false);
-        push(
-            "spill_tiles_rebuilt",
-            self.spill_tiles_rebuilt.to_string(),
-            false,
-        );
-        push("spill_evictions", self.spill_evictions.to_string(), false);
-        push("spill_cache_hits", self.spill_cache_hits.to_string(), false);
-        push(
-            "spill_cache_bypass",
-            self.spill_cache_bypass.to_string(),
-            false,
-        );
-        push("spill_bytes_hist", hist(&self.spill_bytes_hist), false);
-        push(
             "interrupts_deadline",
             self.interrupts_deadline.to_string(),
             false,
@@ -1472,58 +1390,6 @@ pub fn count_row_batches() {
 #[inline]
 pub fn record_dispatch_tier(tier: crate::kernels::dispatch::Tier) {
     METRICS.kernels_dispatch_tier.set(tier.code());
-}
-
-/// Count one tile frame written to the spill directory (`bytes` = encoded
-/// frame size, observed into the spill-bytes histogram).
-#[inline]
-pub fn count_spill_write(bytes: u64) {
-    if metrics_enabled() {
-        METRICS.spill_tiles_written.incr();
-        METRICS.spill_bytes_hist.observe(bytes as f64);
-    }
-}
-
-/// Count one spilled tile read back from disk.
-#[inline]
-pub fn count_spill_read() {
-    if metrics_enabled() {
-        METRICS.spill_tiles_read.incr();
-    }
-}
-
-/// Count one tile rebuilt from the packed labels after corruption or loss.
-#[inline]
-pub fn count_spill_rebuild() {
-    if metrics_enabled() {
-        METRICS.spill_tiles_rebuilt.incr();
-    }
-}
-
-/// Count `n` pinned-tile evictions from the in-RAM spill cache.
-#[inline]
-pub fn count_spill_evictions(n: u64) {
-    if metrics_enabled() {
-        METRICS.spill_evictions.add(n);
-    }
-}
-
-/// Count one spilled-oracle lookup served from a resident tile (memo or
-/// LRU cache hit — no disk touch).
-#[inline]
-pub fn count_spill_cache_hit() {
-    if metrics_enabled() {
-        METRICS.spill_cache_hits.incr();
-    }
-}
-
-/// Count one spilled-oracle lookup that bypassed the tile store to the
-/// lazy oracle.
-#[inline]
-pub fn count_spill_cache_bypass() {
-    if metrics_enabled() {
-        METRICS.spill_cache_bypass.incr();
-    }
 }
 
 /// Record a tracked-memory level for the high-water gauge.

@@ -10,6 +10,7 @@
 //! nothing, and governed structures release their charge on drop.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
@@ -25,11 +26,14 @@ use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, Sn
 use aggclust_core::{RunBudget, RunOutcome};
 use proptest::prelude::*;
 
-/// A unique temp directory per test (proptest shrinks run concurrently).
+/// A fresh temp directory per call, unique across threads (proptest
+/// shrinks run concurrently) and across concurrent test processes.
 fn temp_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "aggclust_ckpt_{tag}_{:?}",
-        std::thread::current().id()
+        "aggclust_ckpt_{tag}_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir

@@ -16,6 +16,7 @@
 //! The metrics registry is process-global, so every test serializes on one
 //! mutex and measures with before/after snapshot diffs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -211,9 +212,12 @@ proptest! {
                 .expect("reference run")
         });
         let reference = masked(reference);
+        // Unique across threads and across concurrent test processes.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "aggclust_telemetry_{:?}",
-            std::thread::current().id()
+            "aggclust_telemetry_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let combined = interrupted_run(&algorithm, &oracle, cap, &dir);
