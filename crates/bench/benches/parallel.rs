@@ -129,12 +129,12 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     });
     obs::set_metrics_enabled(false);
     group.bench_function("counter_metrics_off", |b| {
-        b.iter(|| obs::metrics().ls_moves.add_if_enabled(black_box(1)))
+        b.iter(|| obs::record(|m| m.ls_moves.add(black_box(1))))
     });
     obs::set_metrics_enabled(true);
     group.bench_function("counter_metrics_on", |b| {
         // add(0): exercise the live atomic without skewing the run report.
-        b.iter(|| obs::metrics().ls_moves.add_if_enabled(black_box(0)))
+        b.iter(|| obs::record(|m| m.ls_moves.add(black_box(0))))
     });
     obs::set_metrics_enabled(was_enabled);
     // Same contract for fault injection: with no plan armed, a failpoint

@@ -65,18 +65,10 @@ pub fn init_from_args(args: &Args) -> TelemetryGuard {
     TelemetryGuard { metrics_out }
 }
 
-/// Serialize the current metrics registry as the standard run report
-/// (`{"schema":"aggclust-run-report-v1","host":{...},"metrics":{...}}`)
-/// — the same shape the CLI's `--metrics-out` writes and the bench
-/// harness embeds into `BENCH_*.json`. The `host` block records the
-/// machine (arch, CPU count, SIMD features and selected tier) so stored
-/// benchmark reports are comparable across hosts.
-pub fn run_report_json() -> String {
-    obs::run_report_json()
-}
-
+/// Write the standard run report ([`obs::run_report_json`], the same
+/// shape as the CLI's `--metrics-out`) to `path`.
 fn write_run_report(path: &Path) {
-    let mut json = run_report_json();
+    let mut json = obs::run_report_json();
     json.push('\n');
     if let Err(e) = std::fs::write(path, json) {
         obs::warn!(format!(

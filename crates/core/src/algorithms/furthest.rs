@@ -117,7 +117,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
     // exists; the fallback only avoids a panic path.
     let (ca, cb, _) = parallel::max_pair(n, |u, v| oracle.dist(u, v)).unwrap_or((0, 1, 0.0));
     let mut centers: Vec<usize> = vec![ca, cb];
-    telemetry::metrics().furthest_centers.add_if_enabled(2);
+    telemetry::record(|m| m.furthest_centers.add(2));
     // min_dist[v] = distance from v to its nearest center (for picking the
     // next center in O(n) per round).
     let mut min_dist: Vec<f64> = vec![0.0; n];
@@ -181,7 +181,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
             break;
         }
         centers.push(next);
-        telemetry::metrics().furthest_centers.incr_if_enabled();
+        telemetry::record(|m| m.furthest_centers.incr());
         parallel::update_slice(&mut min_dist, |v, slot| {
             let d = oracle.dist(v, next);
             if d < *slot {

@@ -448,9 +448,7 @@ fn descend_resumable<O: DistanceOracle + Sync + ?Sized>(
         }
         // Completed passes only, so an interrupt-at-k + resume run counts
         // each pass exactly once — matching the uninterrupted run.
-        if telemetry::metrics_enabled() {
-            telemetry::metrics().ls_passes.incr();
-        }
+        telemetry::record(|m| m.ls_passes.incr());
         if !moved {
             break;
         }
@@ -475,9 +473,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
 ) -> bool {
     let n = labels.len();
     let k = sizes.len();
-    if telemetry::metrics_enabled() {
-        telemetry::metrics().ls_nodes_visited.incr();
-    }
+    telemetry::record(|m| m.ls_nodes_visited.incr());
     m_sums.clear();
     m_sums.resize(k, 0.0);
     let mut t_v = 0.0;
@@ -540,8 +536,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
         };
         sizes[target] += 1;
         labels[v] = target as u32;
-        if telemetry::metrics_enabled() {
-            let m = telemetry::metrics();
+        telemetry::record(|m| {
             m.ls_moves.incr();
             // The move's strict cost improvement; accumulated serially (the
             // descent visits nodes one at a time), so the sum's rounding
@@ -549,7 +544,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
             let delta = cur_cost - best_cost;
             m.ls_improvement.add(delta);
             m.ls_delta_hist.observe(delta);
-        }
+        });
         true
     } else {
         false

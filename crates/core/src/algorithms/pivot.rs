@@ -160,7 +160,7 @@ fn pivot_once<O: DistanceOracle + Sync + ?Sized>(
             tripped = Some(interrupt);
             break;
         }
-        telemetry::metrics().pivot_rounds.incr_if_enabled();
+        telemetry::record(|m| m.pivot_rounds.incr());
         let label = next;
         next += 1;
         labels[u] = label;

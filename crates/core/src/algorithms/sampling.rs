@@ -178,11 +178,10 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         // Fresh starts only: a resumed run restores the sample from the
         // snapshot, so interrupt-at-k + resume counts each run/sample once —
         // matching the uninterrupted run.
-        if telemetry::metrics_enabled() {
-            let m = telemetry::metrics();
+        telemetry::record(|m| {
             m.sampling_runs.incr();
             m.sampling_sampled.add(s as u64);
-        }
+        });
 
         // Phase 1: uniform sample without replacement (same RNG discipline
         // as the unbudgeted path, so results match when nothing trips).
@@ -291,7 +290,7 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         }
         // Real assignments only — the singleton fallback after a budget trip
         // is not counted, so resumed totals match uninterrupted ones.
-        telemetry::metrics().sampling_assigned.incr_if_enabled();
+        telemetry::record(|m| m.sampling_assigned.incr());
         if let Some(c) = ckpt.as_deref_mut() {
             c.maybe_save(|| {
                 AlgorithmSnapshot::Sampling(SamplingSnapshot {
@@ -317,9 +316,7 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         let singleton_nodes: Vec<usize> =
             (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
         if singleton_nodes.len() >= 2 {
-            telemetry::metrics()
-                .sampling_reclustered
-                .add_if_enabled(singleton_nodes.len() as u64);
+            telemetry::record(|m| m.sampling_reclustered.add(singleton_nodes.len() as u64));
             let sub = oracle.restrict(&singleton_nodes);
             let re = params.base.run_budgeted(&sub, budget)?;
             status = status.combine(re.status);
@@ -358,11 +355,10 @@ pub fn sampling_with_details<O: DistanceOracle + Sync>(
         };
     }
 
-    if telemetry::metrics_enabled() {
-        let m = telemetry::metrics();
+    telemetry::record(|m| {
         m.sampling_runs.incr();
         m.sampling_sampled.add(s as u64);
-    }
+    });
 
     // Phase 1: uniform sample without replacement.
     let mut rng = StdRng::seed_from_u64(params.seed);
@@ -424,7 +420,7 @@ pub fn sampling_with_details<O: DistanceOracle + Sync>(
         } else {
             labels[v] = best_i as u32;
         }
-        telemetry::metrics().sampling_assigned.incr_if_enabled();
+        telemetry::record(|m| m.sampling_assigned.incr());
     }
     let assign_time = t1.elapsed();
 
@@ -442,9 +438,7 @@ pub fn sampling_with_details<O: DistanceOracle + Sync>(
     // again on this subset of nodes").
     let t2 = Instant::now();
     if params.recluster_singletons && singleton_nodes.len() >= 2 {
-        telemetry::metrics()
-            .sampling_reclustered
-            .add_if_enabled(singleton_nodes.len() as u64);
+        telemetry::record(|m| m.sampling_reclustered.add(singleton_nodes.len() as u64));
         let sub = oracle.restrict(&singleton_nodes);
         let re = params.base.run(&sub);
         for (i, &v) in singleton_nodes.iter().enumerate() {

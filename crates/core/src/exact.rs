@@ -289,9 +289,7 @@ pub fn branch_and_bound_budgeted<O: DistanceOracle + Sync + ?Sized>(
         Err(interrupt) => interrupt.status(),
     };
     // Bulk-add after the search: one atomic op instead of one per node.
-    crate::telemetry::metrics()
-        .exact_nodes
-        .add_if_enabled(expanded);
+    crate::telemetry::record(|m| m.exact_nodes.add(expanded));
 
     Ok((
         ExactResult {

@@ -691,7 +691,7 @@ fn record_injection(state: &mut PlanState, clause: usize, site: &str, op: Option
 /// whose skew check takes the same lock.
 fn announce_injection(entry: &str) {
     crate::warn!(format!("fault injected at {entry}"));
-    crate::telemetry::count_fault_injected();
+    crate::telemetry::record(|m| m.faults_injected.incr());
 }
 
 /// Check a named failpoint site, yielding `Option<`[`Fault`]`>`. Forms:

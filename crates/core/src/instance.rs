@@ -393,10 +393,12 @@ impl DenseOracle {
         );
         let pairs = (n * n.saturating_sub(1) / 2) as u64;
         if tail_members < clusterings.len() {
-            crate::telemetry::count_packed_evals(pairs);
+            crate::telemetry::record(|m| m.oracle_packed_evals.add(pairs));
         }
         if tail_members > 0 {
-            crate::telemetry::count_scalar_fallback(pairs * tail_members as u64);
+            crate::telemetry::record(|m| {
+                m.kernels_fallback_scalar.add(pairs * tail_members as u64)
+            });
         }
         DenseOracle {
             n,
@@ -451,7 +453,7 @@ impl DistanceOracle for DenseOracle {
     fn dist(&self, u: usize, v: usize) -> f64 {
         // Gated dense-hit counter: a relaxed load and an untaken branch
         // when metrics are off, keeping the O(1) lookup hot path intact.
-        crate::telemetry::count_dense_evals(1);
+        crate::telemetry::record(|m| m.oracle_dense_evals.incr());
         if u == v {
             return 0.0;
         }
@@ -573,11 +575,11 @@ impl DistanceOracle for ClusteringsOracle {
         // Each lazy lookup is an O(m) recomputation — the quantity the
         // SAMPLING scaling claim is measured in. It is served by the
         // packed kernel, so it also counts as a packed evaluation.
-        crate::telemetry::count_lazy_evals(1);
+        crate::telemetry::record(|m| m.oracle_lazy_evals.incr());
         if u == v {
             return 0.0;
         }
-        crate::telemetry::count_packed_evals(1);
+        crate::telemetry::record(|m| m.oracle_packed_evals.incr());
         let (sep, missing) = self.packed.sep_missing(u, v);
         match self.policy {
             MissingPolicy::Ignore => {
@@ -752,7 +754,8 @@ impl CorrelationInstance {
     /// per-pair path counts its own evaluations inside `dist`).
     fn count_dense_fill(&self) {
         if self.all_total() {
-            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
+            let pairs = (self.n * self.n.saturating_sub(1) / 2) as u64;
+            crate::telemetry::record(|m| m.oracle_packed_evals.add(pairs));
         }
     }
 

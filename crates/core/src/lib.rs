@@ -86,7 +86,7 @@ pub mod obs {
     pub use crate::kernels::dispatch as simd_dispatch;
     pub use crate::telemetry::{
         clear_collector, collector_active, current_tid, dispatch_event, host_report_json,
-        install_collector, metrics, metrics_enabled, run_report_json, set_metrics_enabled,
+        install_collector, metrics, metrics_enabled, record, run_report_json, set_metrics_enabled,
         set_timing_clock, span_stats, timing_now_ns, Cadence, Clock, Collector, Counter, Event,
         Gauge, Heartbeat, JsonlSink, Level, MaxGauge, MemoryCollector, MetricsSnapshot,
         ProgressSink, SpanData, SpanGuard, SpanStats, SpanTiming, StderrSink, TeeCollector,

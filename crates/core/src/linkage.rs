@@ -501,9 +501,7 @@ pub fn linkage_resumable(
             );
         }
         if chain.is_empty() {
-            if telemetry::metrics_enabled() {
-                telemetry::metrics().linkage_chain_rebuilds.incr();
-            }
+            telemetry::record(|m| m.linkage_chain_rebuilds.incr());
             // While merges remain, an active cluster always exists; the
             // fallback index is unreachable and only avoids a panic path.
             let first = active.iter().position(|&a| a).unwrap_or(0);
@@ -580,9 +578,7 @@ pub fn linkage_resumable(
         // Fresh merges only: snapshot replay above repeats Lance–Williams
         // updates, not merge decisions, so a resumed run's merge counter
         // matches the uninterrupted run's.
-        if telemetry::metrics_enabled() {
-            telemetry::metrics().linkage_merges.incr();
-        }
+        telemetry::record(|m| m.linkage_merges.incr());
 
         if let Some(ckpt) = ckpt.as_deref_mut() {
             ckpt.maybe_save(|| snapshot_state(&merges, &chain));

@@ -107,22 +107,29 @@ where
         let threads = current_num_threads().min(jobs.len());
         if threads > 1 {
             let queue = std::sync::Mutex::new(jobs.into_iter());
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        // A worker can only have panicked inside `f`, which
-                        // never leaves a partially-updated job; recover the
-                        // queue so the remaining workers drain it.
-                        let job = queue
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .next();
-                        match job {
-                            Some(job) => f(job),
-                            None => break,
-                        }
-                    });
+            let work = || loop {
+                // A worker can only have panicked inside `f`, which never
+                // leaves a partially-updated job; recover the queue so the
+                // remaining workers drain it.
+                let job = queue
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .next();
+                match job {
+                    Some(job) => f(job),
+                    None => break,
                 }
+            };
+            // Workers record into the caller's run registry, if it has one.
+            crate::telemetry::with_run_metrics(|registry| {
+                std::thread::scope(|scope| {
+                    for _ in 0..threads {
+                        scope.spawn(|| match registry {
+                            Some(registry) => crate::telemetry::with_metrics(registry, work),
+                            None => work(),
+                        });
+                    }
+                })
             });
             return;
         }

@@ -87,7 +87,12 @@ impl Interrupt {
     /// status, so it doubles as the telemetry hook counting interrupts by
     /// kind (see [`crate::telemetry::Metrics`]).
     pub fn status(self) -> RunStatus {
-        telemetry::count_interrupt(self);
+        telemetry::record(|m| match self {
+            Interrupt::Deadline => m.interrupts_deadline.incr(),
+            Interrupt::IterationCap => m.interrupts_iteration_cap.incr(),
+            Interrupt::Cancelled => m.interrupts_cancelled.incr(),
+            Interrupt::MemoryExceeded { .. } => m.interrupts_memory.incr(),
+        });
         match self {
             Interrupt::Deadline | Interrupt::IterationCap | Interrupt::MemoryExceeded { .. } => {
                 RunStatus::BudgetExceeded
@@ -187,7 +192,7 @@ impl MemGauge {
     /// the telemetry high-water gauge.
     pub fn charge(&self, bytes: u64) -> MemCharge {
         let before = self.used.fetch_add(bytes, Ordering::Relaxed);
-        telemetry::observe_mem_bytes(before.saturating_add(bytes));
+        telemetry::record(|m| m.mem_high_water_bytes.observe(before.saturating_add(bytes)));
         MemCharge {
             gauge: self.clone(),
             bytes,

@@ -540,11 +540,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, String> {
 /// the previous snapshot or the new one, never a torn file.
 pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
     let bytes = encode(snapshot);
-    if telemetry::metrics_enabled() {
-        telemetry::metrics()
-            .checkpoint_bytes_hist
-            .observe(bytes.len() as f64);
-    }
+    telemetry::record(|m| m.checkpoint_bytes_hist.observe(bytes.len() as f64));
     crate::iofs::write_file_atomic("snapshot", path, &bytes)
 }
 
@@ -557,18 +553,14 @@ pub fn load_snapshot(path: &Path) -> SnapshotLoad {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SnapshotLoad::Missing,
         Err(e) => {
-            telemetry::metrics()
-                .checkpoint_corruptions
-                .incr_if_enabled();
+            telemetry::record(|m| m.checkpoint_corruptions.incr());
             return SnapshotLoad::Corrupt(format!("unreadable: {e}"));
         }
     };
     match decode(&bytes) {
         Ok(snapshot) => SnapshotLoad::Loaded(snapshot),
         Err(reason) => {
-            telemetry::metrics()
-                .checkpoint_corruptions
-                .incr_if_enabled();
+            telemetry::record(|m| m.checkpoint_corruptions.incr());
             SnapshotLoad::Corrupt(reason)
         }
     }
@@ -809,21 +801,17 @@ impl Checkpointer {
                 save_snapshot(path, &snapshot)
             });
         self.cadence.reset();
-        if telemetry::metrics_enabled() {
-            telemetry::metrics()
-                .checkpoint_retries
-                .add(attempts.saturating_sub(1));
-        }
+        telemetry::record(|m| m.checkpoint_retries.add(attempts.saturating_sub(1)));
         match result {
             Ok(()) => {
                 self.saves += 1;
                 self.last_error = None;
-                telemetry::metrics().checkpoint_saves.incr_if_enabled();
+                telemetry::record(|m| m.checkpoint_saves.incr());
                 Ok(())
             }
             Err(e) => {
                 self.last_error = Some(e.to_string());
-                telemetry::metrics().checkpoint_failures.incr_if_enabled();
+                telemetry::record(|m| m.checkpoint_failures.incr());
                 crate::warn!(
                     "checkpoint save failed",
                     path = self.path.display().to_string(),

@@ -1,5 +1,5 @@
-//! Zero-dependency telemetry: structured spans, leveled events, and a
-//! metrics registry of atomic counters.
+//! Zero-dependency telemetry: structured spans, leveled events, and
+//! metrics registries of atomic counters.
 //!
 //! The build is offline, so this module plays the role the `tracing` +
 //! `metrics` crates would normally play, with the same shape:
@@ -12,14 +12,22 @@
 //!   installed process-wide with [`install_collector`]. When no collector
 //!   is installed the macros cost one relaxed atomic load and a branch —
 //!   span fields are not even evaluated.
-//! * **Metrics** — a fixed registry ([`Metrics`], reachable through
-//!   [`metrics`]) of atomic counters, max-gauges, float sums, and
-//!   fixed-bucket histograms that the hot paths increment when
-//!   [`set_metrics_enabled`] has been flipped on. Counter totals are
-//!   deterministic: the deterministic kernels perform the same multiset of
-//!   counted operations at any `--threads` setting, and integer atomic
-//!   adds commute, so totals are bit-identical across thread counts.
-//! * **Span timings** — when metrics are enabled every closing span also
+//! * **Metrics** — counters, gauges, max-gauges, float sums and
+//!   fixed-bucket histograms, each declared once in the `metrics_table!`
+//!   table, which generates the [`Metrics`] registry, its
+//!   [`MetricsSnapshot`] and the report's `metrics` object. Hot paths
+//!   record with [`record`]. A run can install its own zeroed registry
+//!   ([`with_metrics`], [`measure`]); the [`crate::parallel`] workers it
+//!   starts inherit it, so its snapshot holds that run's work and nothing
+//!   else. Without one, recording goes to the process registry
+//!   ([`metrics`]) while [`set_metrics_enabled`] is on; with neither, a
+//!   site costs one relaxed load and an untaken branch. Totals are
+//!   deterministic: the deterministic kernels perform the same multiset
+//!   of counted operations at any `--threads` setting, and integer atomic
+//!   adds commute, so a run's totals are bit-identical across thread
+//!   counts.
+//! * **Span timings** — when the process registry records
+//!   ([`set_metrics_enabled`]) every closing span also
 //!   records count / total-ns / self-ns / max-ns / histogram aggregates
 //!   into a per-span-name [`SpanStats`] registry ([`span_stats`]),
 //!   rendered as the `timings` block of the run report
@@ -42,9 +50,9 @@
 //!   tests a manually advanced clock so deadline behavior can be tested
 //!   without real sleeps.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -678,7 +686,9 @@ impl<'a> Heartbeat<'a> {
             None => {
                 fields.push((
                     "mem_bytes",
-                    Value::U64(metrics().mem_high_water_bytes.get()),
+                    Value::U64(with_run_metrics(|run| {
+                        run.unwrap_or(&METRICS).mem_high_water_bytes.get()
+                    })),
                 ));
             }
         }
@@ -689,6 +699,17 @@ impl<'a> Heartbeat<'a> {
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------
+
+/// A metric kind: how it is stored in a [`Metrics`] registry, what a
+/// [`MetricsSnapshot`] holds for it, and how the run report renders that.
+pub trait Metric {
+    /// The snapshot value.
+    type Value: Clone + std::fmt::Debug + Default + PartialEq;
+    /// The current value.
+    fn value(&self) -> Self::Value;
+    /// The value as it appears in the run report.
+    fn json(value: &Self::Value) -> String;
+}
 
 /// A monotonically increasing `u64` counter.
 #[derive(Debug)]
@@ -709,22 +730,6 @@ impl Counter {
     #[inline]
     pub fn incr(&self) {
         self.add(1);
-    }
-
-    /// Add `n`, but only when metrics collection is enabled. The disabled
-    /// path is a relaxed load and an untaken branch — cheap enough for hot
-    /// loops.
-    #[inline]
-    pub fn add_if_enabled(&self, n: u64) {
-        if metrics_enabled() {
-            self.add(n);
-        }
-    }
-
-    /// Add 1, but only when metrics collection is enabled.
-    #[inline]
-    pub fn incr_if_enabled(&self) {
-        self.add_if_enabled(1);
     }
 
     /// Current value.
@@ -776,9 +781,27 @@ impl MaxGauge {
     }
 }
 
+/// The integer kinds report their value as it is.
+macro_rules! u64_metric {
+    ($($kind:ident),*) => {$(
+        impl Metric for $kind {
+            type Value = u64;
+            fn value(&self) -> u64 {
+                self.get()
+            }
+            fn json(value: &u64) -> String {
+                value.to_string()
+            }
+        }
+    )*};
+}
+
+u64_metric!(Counter, Gauge, MaxGauge);
+
 /// An exact `f64` accumulator stored as bits in an atomic (CAS loop). The
-/// instrumented sites only add from one thread at a time, so the sum's
-/// rounding order — and therefore its bits — is deterministic.
+/// instrumented sites only add from one thread at a time, and a run's
+/// registry starts at zero, so the sum's rounding order — and therefore
+/// its bits — is deterministic.
 #[derive(Debug)]
 pub struct FloatSum(AtomicU64);
 
@@ -808,8 +831,21 @@ impl FloatSum {
     }
 }
 
+impl Metric for FloatSum {
+    type Value = f64;
+    fn value(&self) -> f64 {
+        self.get()
+    }
+    fn json(value: &f64) -> String {
+        json_f64(*value)
+    }
+}
+
 /// Number of buckets in a [`Histogram`] (one per bound, plus overflow).
 pub const HISTOGRAM_BUCKETS: usize = 9;
+
+/// Bounds of the registry's histograms (power-of-ten buckets).
+const POW10_BOUNDS: [f64; HISTOGRAM_BUCKETS - 1] = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8];
 
 /// A fixed-bucket histogram: bucket `i` counts observations
 /// `<= bounds[i]`; the last bucket counts everything larger.
@@ -820,7 +856,12 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    const fn new(bounds: [f64; HISTOGRAM_BUCKETS - 1]) -> Histogram {
+    /// A histogram with power-of-ten buckets (`1e-6 … 1e8`).
+    const fn new() -> Histogram {
+        Histogram::with_bounds(POW10_BOUNDS)
+    }
+
+    const fn with_bounds(bounds: [f64; HISTOGRAM_BUCKETS - 1]) -> Histogram {
         Histogram {
             bounds,
             counts: [
@@ -862,565 +903,231 @@ impl Histogram {
     }
 }
 
-/// The process-wide metrics registry: every instrumented quantity in the
-/// crate, by name. Increments are gated on [`metrics_enabled`] at the
-/// instrumentation sites, so the registry is free (one relaxed load and a
-/// branch per site) until a caller opts in.
-#[derive(Debug)]
-pub struct Metrics {
-    /// `O(1)` lookups served by a dense (precomputed) distance oracle.
-    pub oracle_dense_evals: Counter,
-    /// `O(m)` on-the-fly recomputations by the lazy clusterings oracle.
-    pub oracle_lazy_evals: Counter,
-    /// Pair evaluations served by the packed SWAR kernels
-    /// ([`crate::kernels`]) — dense builds and packed lazy lookups both
-    /// count here, in addition to their dense/lazy counter.
-    pub oracle_packed_evals: Counter,
-    /// Scalar-lane pair evaluations on the weighted oracle's unpacked
-    /// tail (equal-weight groups too small for a packed block).
-    pub kernels_fallback_scalar: Counter,
-    /// `sep_row_into` batch invocations (one per row×band block in the
-    /// cache-blocked fills).
-    pub kernels_row_batches: Counter,
-    /// Code of the SIMD dispatch tier the most recent [`crate::kernels::LabelMatrix`]
-    /// was built with (see [`crate::kernels::dispatch::Tier::code`]; 0 =
-    /// no packed kernel has run). Recorded unconditionally — it is one
-    /// store per matrix build, and traces must state which code path
-    /// produced their numbers even when counters are off.
-    pub kernels_dispatch_tier: Gauge,
-    /// LOCALSEARCH full passes over the node set.
-    pub ls_passes: Counter,
-    /// LOCALSEARCH node visits (one move evaluation each).
-    pub ls_nodes_visited: Counter,
-    /// LOCALSEARCH accepted moves (node changed cluster).
-    pub ls_moves: Counter,
-    /// Total cost improvement accumulated by accepted LOCALSEARCH moves.
-    pub ls_improvement: FloatSum,
-    /// Per-move improvement distribution (power-of-ten buckets).
-    pub ls_delta_hist: Histogram,
-    /// Agglomerative (NN-chain) merges performed.
-    pub linkage_merges: Counter,
-    /// Times the NN-chain went empty and had to be re-seeded.
-    pub linkage_chain_rebuilds: Counter,
-    /// BALLS balls carved off (multi-node clusters formed).
-    pub balls_formed: Counter,
-    /// FURTHEST centers placed across all rounds.
-    pub furthest_centers: Counter,
-    /// PIVOT pivots drawn.
-    pub pivot_rounds: Counter,
-    /// Branch-and-bound nodes expanded by the exact solver.
-    pub exact_nodes: Counter,
-    /// SAMPLING meta-runs started.
-    pub sampling_runs: Counter,
-    /// Objects drawn into SAMPLING's random sample.
-    pub sampling_sampled: Counter,
-    /// Objects placed by SAMPLING's per-node assignment phase.
-    pub sampling_assigned: Counter,
-    /// Leftover singletons re-clustered in SAMPLING's final phase.
-    pub sampling_reclustered: Counter,
-    /// Snapshot files written successfully.
-    pub checkpoint_saves: Counter,
-    /// Snapshot write attempts retried after an I/O failure.
-    pub checkpoint_retries: Counter,
-    /// Snapshot writes abandoned after exhausting retries.
-    pub checkpoint_failures: Counter,
-    /// Corrupt/unreadable snapshots detected at load time (run restarted
-    /// fresh).
-    pub checkpoint_corruptions: Counter,
-    /// Encoded snapshot sizes in bytes (power-of-ten buckets).
-    pub checkpoint_bytes_hist: Histogram,
-    /// Anytime stops caused by the wall-clock deadline.
-    pub interrupts_deadline: Counter,
-    /// Anytime stops caused by the iteration cap.
-    pub interrupts_iteration_cap: Counter,
-    /// Anytime stops caused by cooperative cancellation.
-    pub interrupts_cancelled: Counter,
-    /// Refused allocations (memory ceiling would have been exceeded).
-    pub interrupts_memory: Counter,
-    /// Faults injected by an armed [`crate::failpoint`] plan.
-    pub faults_injected: Counter,
-    /// High-water mark of tracked [`crate::robust::MemGauge`] bytes.
-    pub mem_high_water_bytes: MaxGauge,
+impl Metric for Histogram {
+    type Value = [u64; HISTOGRAM_BUCKETS];
+    fn value(&self) -> Self::Value {
+        self.counts()
+    }
+    fn json(value: &Self::Value) -> String {
+        let items: Vec<String> = value.iter().map(|c| c.to_string()).collect();
+        format!("[{}]", items.join(","))
+    }
 }
 
-const POW10_BOUNDS: [f64; HISTOGRAM_BUCKETS - 1] = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8];
+/// Generates [`Metrics`], [`MetricsSnapshot`] and the report's `metrics`
+/// object from the table below. A row is `name: Kind, "doc";`. A row may
+/// give its own JSON renderer in parentheses after the kind, and may end
+/// in `then name` to report a derived [`MetricsSnapshot`] method right
+/// after it.
+macro_rules! metrics_table {
+    ($($name:ident: $kind:ident $(($render:expr))?, $doc:literal $(, then $derived:ident)?;)*) => {
+        /// A metrics registry: every instrumented quantity in the crate, by
+        /// name. There is one process registry ([`metrics`]); a run can
+        /// record into a fresh one instead ([`with_metrics`], [`measure`]).
+        #[derive(Debug)]
+        pub struct Metrics {
+            $(#[doc = $doc] pub $name: $kind,)*
+        }
 
-static METRICS: Metrics = Metrics {
-    oracle_dense_evals: Counter::new(),
-    oracle_lazy_evals: Counter::new(),
-    oracle_packed_evals: Counter::new(),
-    kernels_fallback_scalar: Counter::new(),
-    kernels_row_batches: Counter::new(),
-    kernels_dispatch_tier: Gauge::new(),
-    ls_passes: Counter::new(),
-    ls_nodes_visited: Counter::new(),
-    ls_moves: Counter::new(),
-    ls_improvement: FloatSum::new(),
-    ls_delta_hist: Histogram::new(POW10_BOUNDS),
-    linkage_merges: Counter::new(),
-    linkage_chain_rebuilds: Counter::new(),
-    balls_formed: Counter::new(),
-    furthest_centers: Counter::new(),
-    pivot_rounds: Counter::new(),
-    exact_nodes: Counter::new(),
-    sampling_runs: Counter::new(),
-    sampling_sampled: Counter::new(),
-    sampling_assigned: Counter::new(),
-    sampling_reclustered: Counter::new(),
-    checkpoint_saves: Counter::new(),
-    checkpoint_retries: Counter::new(),
-    checkpoint_failures: Counter::new(),
-    checkpoint_corruptions: Counter::new(),
-    checkpoint_bytes_hist: Histogram::new(POW10_BOUNDS),
-    interrupts_deadline: Counter::new(),
-    interrupts_iteration_cap: Counter::new(),
-    interrupts_cancelled: Counter::new(),
-    interrupts_memory: Counter::new(),
-    faults_injected: Counter::new(),
-    mem_high_water_bytes: MaxGauge::new(),
-};
+        impl Metrics {
+            /// A registry with every metric at zero.
+            pub const fn new() -> Metrics {
+                Metrics { $($name: $kind::new(),)* }
+            }
 
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
+            /// A point-in-time copy of every metric.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.value(),)* }
+            }
+        }
 
-/// The process-wide [`Metrics`] registry.
-pub fn metrics() -> &'static Metrics {
-    &METRICS
+        /// A point-in-time copy of a [`Metrics`] registry.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $doc] pub $name: <$kind as Metric>::Value,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Render as a stable JSON object in table order (the
+            /// `"metrics"` payload of the `--metrics-out` run report).
+            pub fn to_json(&self) -> String {
+                let mut fields: Vec<String> = Vec::new();
+                $(
+                    fields.push(format!(
+                        "{}:{}",
+                        json_string(stringify!($name)),
+                        metrics_table!(@render $kind $(($render))? &self.$name),
+                    ));
+                    $(fields.push(format!(
+                        "{}:{}",
+                        json_string(stringify!($derived)),
+                        self.$derived(),
+                    ));)?
+                )*
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    };
+    (@render $kind:ident ($render:expr) $value:expr) => { $render($value) };
+    (@render $kind:ident $value:expr) => { <$kind as Metric>::json($value) };
 }
 
-/// Turn metric recording on or off. Off (the default) leaves every
-/// instrumentation site as a relaxed load plus an untaken branch.
-pub fn set_metrics_enabled(enabled: bool) {
-    METRICS_ENABLED.store(enabled, Ordering::Release);
+metrics_table! {
+    oracle_dense_evals: Counter, "`O(1)` lookups served by a dense (precomputed) distance oracle.";
+    oracle_lazy_evals: Counter, "`O(m)` on-the-fly recomputations by the lazy clusterings oracle.";
+    oracle_packed_evals: Counter, "Pair evaluations served by the packed kernels ([`crate::kernels`]); dense builds and packed lazy lookups count here as well as in their dense/lazy counter.";
+    kernels_fallback_scalar: Counter, "Scalar-lane pair evaluations on the weighted oracle's unpacked tail (equal-weight groups too small for a packed block).";
+    kernels_row_batches: Counter, "`sep_row_into` batch invocations (one per row×band block in the cache-blocked fills).";
+    kernels_dispatch_tier: Gauge(tier_json), "Code of the SIMD tier the most recent [`crate::kernels::LabelMatrix`] was built with (0 = none), reported as the tier name. Set even with metrics off: traces must state which code path ran.", then oracle_evals_total;
+    ls_passes: Counter, "LOCALSEARCH full passes over the node set.";
+    ls_nodes_visited: Counter, "LOCALSEARCH node visits (one move evaluation each).";
+    ls_moves: Counter, "LOCALSEARCH accepted moves (node changed cluster).";
+    ls_improvement: FloatSum, "Total cost improvement accumulated by accepted LOCALSEARCH moves.";
+    ls_delta_hist: Histogram, "Per-move improvement distribution (power-of-ten buckets).";
+    linkage_merges: Counter, "Agglomerative (NN-chain) merges performed.";
+    linkage_chain_rebuilds: Counter, "Times the NN-chain went empty and had to be re-seeded.";
+    balls_formed: Counter, "BALLS balls carved off (multi-node clusters formed).";
+    furthest_centers: Counter, "FURTHEST centers placed across all rounds.";
+    pivot_rounds: Counter, "PIVOT pivots drawn.";
+    exact_nodes: Counter, "Branch-and-bound nodes expanded by the exact solver.";
+    sampling_runs: Counter, "SAMPLING meta-runs started.";
+    sampling_sampled: Counter, "Objects drawn into SAMPLING's random sample.";
+    sampling_assigned: Counter, "Objects placed by SAMPLING's per-node assignment phase.";
+    sampling_reclustered: Counter, "Leftover singletons re-clustered in SAMPLING's final phase.";
+    checkpoint_saves: Counter, "Snapshot files written successfully.";
+    checkpoint_retries: Counter, "Snapshot write attempts retried after an I/O failure.";
+    checkpoint_failures: Counter, "Snapshot writes abandoned after exhausting retries.";
+    checkpoint_corruptions: Counter, "Corrupt/unreadable snapshots detected at load time (run restarted fresh).";
+    checkpoint_bytes_hist: Histogram, "Encoded snapshot sizes in bytes (power-of-ten buckets).";
+    interrupts_deadline: Counter, "Anytime stops caused by the wall-clock deadline.";
+    interrupts_iteration_cap: Counter, "Anytime stops caused by the iteration cap.";
+    interrupts_cancelled: Counter, "Anytime stops caused by cooperative cancellation.";
+    interrupts_memory: Counter, "Refused allocations (memory ceiling would have been exceeded).";
+    faults_injected: Counter, "Faults injected by an armed [`crate::failpoint`] plan.";
+    mem_high_water_bytes: MaxGauge, "High-water mark of tracked [`crate::robust::MemGauge`] bytes.";
 }
 
-/// `true` when instrumentation sites should record.
-#[inline]
-pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// A point-in-time copy of every metric, for delta computation and JSON
-/// reports.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::oracle_dense_evals`].
-    pub oracle_dense_evals: u64,
-    /// See [`Metrics::oracle_lazy_evals`].
-    pub oracle_lazy_evals: u64,
-    /// See [`Metrics::oracle_packed_evals`].
-    pub oracle_packed_evals: u64,
-    /// See [`Metrics::kernels_fallback_scalar`].
-    pub kernels_fallback_scalar: u64,
-    /// See [`Metrics::kernels_row_batches`].
-    pub kernels_row_batches: u64,
-    /// See [`Metrics::kernels_dispatch_tier`] (tier *code*; rendered as
-    /// the tier name in JSON).
-    pub kernels_dispatch_tier: u64,
-    /// See [`Metrics::ls_passes`].
-    pub ls_passes: u64,
-    /// See [`Metrics::ls_nodes_visited`].
-    pub ls_nodes_visited: u64,
-    /// See [`Metrics::ls_moves`].
-    pub ls_moves: u64,
-    /// See [`Metrics::ls_improvement`].
-    pub ls_improvement: f64,
-    /// See [`Metrics::ls_delta_hist`].
-    pub ls_delta_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::linkage_merges`].
-    pub linkage_merges: u64,
-    /// See [`Metrics::linkage_chain_rebuilds`].
-    pub linkage_chain_rebuilds: u64,
-    /// See [`Metrics::balls_formed`].
-    pub balls_formed: u64,
-    /// See [`Metrics::furthest_centers`].
-    pub furthest_centers: u64,
-    /// See [`Metrics::pivot_rounds`].
-    pub pivot_rounds: u64,
-    /// See [`Metrics::exact_nodes`].
-    pub exact_nodes: u64,
-    /// See [`Metrics::sampling_runs`].
-    pub sampling_runs: u64,
-    /// See [`Metrics::sampling_sampled`].
-    pub sampling_sampled: u64,
-    /// See [`Metrics::sampling_assigned`].
-    pub sampling_assigned: u64,
-    /// See [`Metrics::sampling_reclustered`].
-    pub sampling_reclustered: u64,
-    /// See [`Metrics::checkpoint_saves`].
-    pub checkpoint_saves: u64,
-    /// See [`Metrics::checkpoint_retries`].
-    pub checkpoint_retries: u64,
-    /// See [`Metrics::checkpoint_failures`].
-    pub checkpoint_failures: u64,
-    /// See [`Metrics::checkpoint_corruptions`].
-    pub checkpoint_corruptions: u64,
-    /// See [`Metrics::checkpoint_bytes_hist`].
-    pub checkpoint_bytes_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::interrupts_deadline`].
-    pub interrupts_deadline: u64,
-    /// See [`Metrics::interrupts_iteration_cap`].
-    pub interrupts_iteration_cap: u64,
-    /// See [`Metrics::interrupts_cancelled`].
-    pub interrupts_cancelled: u64,
-    /// See [`Metrics::interrupts_memory`].
-    pub interrupts_memory: u64,
-    /// See [`Metrics::faults_injected`].
-    pub faults_injected: u64,
-    /// See [`Metrics::mem_high_water_bytes`].
-    pub mem_high_water_bytes: u64,
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics::new()
+    }
 }
 
 impl MetricsSnapshot {
-    /// Snapshot the process-wide registry right now.
-    pub fn capture() -> MetricsSnapshot {
-        let m = metrics();
-        MetricsSnapshot {
-            oracle_dense_evals: m.oracle_dense_evals.get(),
-            oracle_lazy_evals: m.oracle_lazy_evals.get(),
-            oracle_packed_evals: m.oracle_packed_evals.get(),
-            kernels_fallback_scalar: m.kernels_fallback_scalar.get(),
-            kernels_row_batches: m.kernels_row_batches.get(),
-            kernels_dispatch_tier: m.kernels_dispatch_tier.get(),
-            ls_passes: m.ls_passes.get(),
-            ls_nodes_visited: m.ls_nodes_visited.get(),
-            ls_moves: m.ls_moves.get(),
-            ls_improvement: m.ls_improvement.get(),
-            ls_delta_hist: m.ls_delta_hist.counts(),
-            linkage_merges: m.linkage_merges.get(),
-            linkage_chain_rebuilds: m.linkage_chain_rebuilds.get(),
-            balls_formed: m.balls_formed.get(),
-            furthest_centers: m.furthest_centers.get(),
-            pivot_rounds: m.pivot_rounds.get(),
-            exact_nodes: m.exact_nodes.get(),
-            sampling_runs: m.sampling_runs.get(),
-            sampling_sampled: m.sampling_sampled.get(),
-            sampling_assigned: m.sampling_assigned.get(),
-            sampling_reclustered: m.sampling_reclustered.get(),
-            checkpoint_saves: m.checkpoint_saves.get(),
-            checkpoint_retries: m.checkpoint_retries.get(),
-            checkpoint_failures: m.checkpoint_failures.get(),
-            checkpoint_corruptions: m.checkpoint_corruptions.get(),
-            checkpoint_bytes_hist: m.checkpoint_bytes_hist.counts(),
-            interrupts_deadline: m.interrupts_deadline.get(),
-            interrupts_iteration_cap: m.interrupts_iteration_cap.get(),
-            interrupts_cancelled: m.interrupts_cancelled.get(),
-            interrupts_memory: m.interrupts_memory.get(),
-            faults_injected: m.faults_injected.get(),
-            mem_high_water_bytes: m.mem_high_water_bytes.get(),
-        }
-    }
-
-    /// Counter-wise difference `self − earlier` (saturating), isolating
-    /// the work done between two snapshots. Gauges keep `self`'s value;
-    /// the float sum subtracts exactly.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        fn hist_diff(
-            a: &[u64; HISTOGRAM_BUCKETS],
-            b: &[u64; HISTOGRAM_BUCKETS],
-        ) -> [u64; HISTOGRAM_BUCKETS] {
-            let mut out = [0u64; HISTOGRAM_BUCKETS];
-            for i in 0..HISTOGRAM_BUCKETS {
-                out[i] = a[i].saturating_sub(b[i]);
-            }
-            out
-        }
-        MetricsSnapshot {
-            oracle_dense_evals: self
-                .oracle_dense_evals
-                .saturating_sub(earlier.oracle_dense_evals),
-            oracle_lazy_evals: self
-                .oracle_lazy_evals
-                .saturating_sub(earlier.oracle_lazy_evals),
-            oracle_packed_evals: self
-                .oracle_packed_evals
-                .saturating_sub(earlier.oracle_packed_evals),
-            kernels_fallback_scalar: self
-                .kernels_fallback_scalar
-                .saturating_sub(earlier.kernels_fallback_scalar),
-            kernels_row_batches: self
-                .kernels_row_batches
-                .saturating_sub(earlier.kernels_row_batches),
-            kernels_dispatch_tier: self.kernels_dispatch_tier,
-            ls_passes: self.ls_passes.saturating_sub(earlier.ls_passes),
-            ls_nodes_visited: self
-                .ls_nodes_visited
-                .saturating_sub(earlier.ls_nodes_visited),
-            ls_moves: self.ls_moves.saturating_sub(earlier.ls_moves),
-            ls_improvement: self.ls_improvement - earlier.ls_improvement,
-            ls_delta_hist: hist_diff(&self.ls_delta_hist, &earlier.ls_delta_hist),
-            linkage_merges: self.linkage_merges.saturating_sub(earlier.linkage_merges),
-            linkage_chain_rebuilds: self
-                .linkage_chain_rebuilds
-                .saturating_sub(earlier.linkage_chain_rebuilds),
-            balls_formed: self.balls_formed.saturating_sub(earlier.balls_formed),
-            furthest_centers: self
-                .furthest_centers
-                .saturating_sub(earlier.furthest_centers),
-            pivot_rounds: self.pivot_rounds.saturating_sub(earlier.pivot_rounds),
-            exact_nodes: self.exact_nodes.saturating_sub(earlier.exact_nodes),
-            sampling_runs: self.sampling_runs.saturating_sub(earlier.sampling_runs),
-            sampling_sampled: self
-                .sampling_sampled
-                .saturating_sub(earlier.sampling_sampled),
-            sampling_assigned: self
-                .sampling_assigned
-                .saturating_sub(earlier.sampling_assigned),
-            sampling_reclustered: self
-                .sampling_reclustered
-                .saturating_sub(earlier.sampling_reclustered),
-            checkpoint_saves: self
-                .checkpoint_saves
-                .saturating_sub(earlier.checkpoint_saves),
-            checkpoint_retries: self
-                .checkpoint_retries
-                .saturating_sub(earlier.checkpoint_retries),
-            checkpoint_failures: self
-                .checkpoint_failures
-                .saturating_sub(earlier.checkpoint_failures),
-            checkpoint_corruptions: self
-                .checkpoint_corruptions
-                .saturating_sub(earlier.checkpoint_corruptions),
-            checkpoint_bytes_hist: hist_diff(
-                &self.checkpoint_bytes_hist,
-                &earlier.checkpoint_bytes_hist,
-            ),
-            interrupts_deadline: self
-                .interrupts_deadline
-                .saturating_sub(earlier.interrupts_deadline),
-            interrupts_iteration_cap: self
-                .interrupts_iteration_cap
-                .saturating_sub(earlier.interrupts_iteration_cap),
-            interrupts_cancelled: self
-                .interrupts_cancelled
-                .saturating_sub(earlier.interrupts_cancelled),
-            interrupts_memory: self
-                .interrupts_memory
-                .saturating_sub(earlier.interrupts_memory),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            mem_high_water_bytes: self.mem_high_water_bytes,
-        }
-    }
-
     /// Total distance-oracle evaluations (dense + lazy).
     pub fn oracle_evals_total(&self) -> u64 {
         self.oracle_dense_evals + self.oracle_lazy_evals
     }
+}
 
-    /// Render as a stable JSON object (the `"counters"` payload of the
-    /// `--metrics-out` run report).
-    pub fn to_json(&self) -> String {
-        fn hist(h: &[u64; HISTOGRAM_BUCKETS]) -> String {
-            let items: Vec<String> = h.iter().map(|c| c.to_string()).collect();
-            format!("[{}]", items.join(","))
-        }
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        let mut push = |key: &str, val: String, last: bool| {
-            s.push_str(&json_string(key));
-            s.push(':');
-            s.push_str(&val);
-            if !last {
-                s.push(',');
-            }
-        };
-        push(
-            "oracle_dense_evals",
-            self.oracle_dense_evals.to_string(),
-            false,
-        );
-        push(
-            "oracle_lazy_evals",
-            self.oracle_lazy_evals.to_string(),
-            false,
-        );
-        push(
-            "oracle_packed_evals",
-            self.oracle_packed_evals.to_string(),
-            false,
-        );
-        push(
-            "kernels_fallback_scalar",
-            self.kernels_fallback_scalar.to_string(),
-            false,
-        );
-        push(
-            "kernels_row_batches",
-            self.kernels_row_batches.to_string(),
-            false,
-        );
-        push(
-            "kernels_dispatch_tier",
-            json_string(crate::kernels::dispatch::tier_code_name(
-                self.kernels_dispatch_tier,
-            )),
-            false,
-        );
-        push(
-            "oracle_evals_total",
-            self.oracle_evals_total().to_string(),
-            false,
-        );
-        push("ls_passes", self.ls_passes.to_string(), false);
-        push("ls_nodes_visited", self.ls_nodes_visited.to_string(), false);
-        push("ls_moves", self.ls_moves.to_string(), false);
-        push("ls_improvement", json_f64(self.ls_improvement), false);
-        push("ls_delta_hist", hist(&self.ls_delta_hist), false);
-        push("linkage_merges", self.linkage_merges.to_string(), false);
-        push(
-            "linkage_chain_rebuilds",
-            self.linkage_chain_rebuilds.to_string(),
-            false,
-        );
-        push("balls_formed", self.balls_formed.to_string(), false);
-        push("furthest_centers", self.furthest_centers.to_string(), false);
-        push("pivot_rounds", self.pivot_rounds.to_string(), false);
-        push("exact_nodes", self.exact_nodes.to_string(), false);
-        push("sampling_runs", self.sampling_runs.to_string(), false);
-        push("sampling_sampled", self.sampling_sampled.to_string(), false);
-        push(
-            "sampling_assigned",
-            self.sampling_assigned.to_string(),
-            false,
-        );
-        push(
-            "sampling_reclustered",
-            self.sampling_reclustered.to_string(),
-            false,
-        );
-        push("checkpoint_saves", self.checkpoint_saves.to_string(), false);
-        push(
-            "checkpoint_retries",
-            self.checkpoint_retries.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_failures",
-            self.checkpoint_failures.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_corruptions",
-            self.checkpoint_corruptions.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_bytes_hist",
-            hist(&self.checkpoint_bytes_hist),
-            false,
-        );
-        push(
-            "interrupts_deadline",
-            self.interrupts_deadline.to_string(),
-            false,
-        );
-        push(
-            "interrupts_iteration_cap",
-            self.interrupts_iteration_cap.to_string(),
-            false,
-        );
-        push(
-            "interrupts_cancelled",
-            self.interrupts_cancelled.to_string(),
-            false,
-        );
-        push(
-            "interrupts_memory",
-            self.interrupts_memory.to_string(),
-            false,
-        );
-        push("faults_injected", self.faults_injected.to_string(), false);
-        push(
-            "mem_high_water_bytes",
-            self.mem_high_water_bytes.to_string(),
-            true,
-        );
-        s.push('}');
-        s
+/// The report rendering of [`Metrics::kernels_dispatch_tier`]: the tier name.
+fn tier_json(code: &u64) -> String {
+    json_string(crate::kernels::dispatch::tier_code_name(*code))
+}
+
+static METRICS: Metrics = Metrics::new();
+
+/// Bit 0 is the process registry's switch ([`set_metrics_enabled`]); the
+/// rest counts run registries installed on some thread, in steps of 2.
+/// Zero means nothing records anywhere — the only thing the disabled path
+/// of [`record`] loads.
+static RECORDING: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The run registry installed on this thread by [`with_metrics`], or
+    /// null. A plain pointer because a thread-local with a destructor puts
+    /// a registration call behind every [`record`] site, and that alone
+    /// made n = 5000 LOCALSEARCH ~17% slower with nothing recording (2-vCPU
+    /// x86-64 host).
+    static RUN_METRICS: Cell<*const Metrics> = const { Cell::new(std::ptr::null()) };
+}
+
+/// The process registry: what a thread records into when no run registry
+/// is installed on it, and what the run report reads.
+pub fn metrics() -> &'static Metrics {
+    &METRICS
+}
+
+/// Turn recording into the process registry (and span timing) on or off.
+/// Off (the default) leaves every instrumentation site as a relaxed load
+/// plus an untaken branch while no run registry is installed.
+pub fn set_metrics_enabled(enabled: bool) {
+    if enabled {
+        RECORDING.fetch_or(1, Ordering::Release);
+    } else {
+        RECORDING.fetch_and(!1, Ordering::Release);
     }
 }
 
-// Gated instrumentation helpers for the hot paths. Each is a relaxed load
-// and an untaken branch when metrics are off.
-
-/// Count `n` dense-oracle lookups.
+/// `true` when the process registry records.
 #[inline]
-pub fn count_dense_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_dense_evals.add(n);
+pub fn metrics_enabled() -> bool {
+    RECORDING.load(Ordering::Relaxed) & 1 != 0
+}
+
+/// Record into this thread's registry: `record(|m| m.ls_moves.incr())`.
+/// The target is the run registry installed by [`with_metrics`], else the
+/// process registry while [`metrics_enabled`]; with neither, `f` is not
+/// called. With nothing recording anywhere this is one relaxed load and an
+/// untaken branch.
+#[inline]
+pub fn record(f: impl FnOnce(&Metrics)) {
+    if RECORDING.load(Ordering::Relaxed) != 0 {
+        with_run_metrics(|run| match run {
+            Some(registry) => f(registry),
+            None if metrics_enabled() => f(&METRICS),
+            None => {}
+        });
     }
 }
 
-/// Count `n` lazy-oracle recomputations.
+/// `f` applied to the run registry installed on this thread, if any.
 #[inline]
-pub fn count_lazy_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_lazy_evals.add(n);
-    }
-}
-
-/// Count `n` pair evaluations served by the packed SWAR kernels.
-#[inline]
-pub fn count_packed_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_packed_evals.add(n);
-    }
-}
-
-/// Count `n` scalar-lane evaluations on the weighted oracle's unpacked
-/// tail.
-#[inline]
-pub fn count_scalar_fallback(n: u64) {
-    if metrics_enabled() {
-        METRICS.kernels_fallback_scalar.add(n);
-    }
-}
-
-/// Count one `sep_row_into` batch invocation.
-#[inline]
-pub fn count_row_batches() {
-    if metrics_enabled() {
-        METRICS.kernels_row_batches.incr();
-    }
+pub(crate) fn with_run_metrics<R>(f: impl FnOnce(Option<&Metrics>) -> R) -> R {
+    let run = RUN_METRICS.with(Cell::get);
+    // SAFETY: the pointer is non-null only while a `with_metrics(registry,
+    // ..)` call is active on this thread. That call borrows `registry` for
+    // longer than anything it runs, this call included, and resets the
+    // pointer before returning or unwinding.
+    f(unsafe { run.as_ref() })
 }
 
 /// Record the dispatch tier a freshly built packed matrix will use.
-/// Deliberately *not* gated on [`metrics_enabled`]: one relaxed store per
-/// matrix build, and run reports must state which code path ran even when
-/// counters are off.
+/// Deliberately not gated: one relaxed store per matrix build, and run
+/// reports must state which code path ran even when counters are off.
 #[inline]
 pub fn record_dispatch_tier(tier: crate::kernels::dispatch::Tier) {
-    METRICS.kernels_dispatch_tier.set(tier.code());
+    with_run_metrics(|run| {
+        run.unwrap_or(&METRICS)
+            .kernels_dispatch_tier
+            .set(tier.code())
+    });
 }
 
-/// Record a tracked-memory level for the high-water gauge.
-#[inline]
-pub fn observe_mem_bytes(bytes: u64) {
-    if metrics_enabled() {
-        METRICS.mem_high_water_bytes.observe(bytes);
+/// Run `f` with `registry` installed on the current thread. Everything `f`
+/// records — and everything recorded by the [`crate::parallel`] workers it
+/// starts — lands in `registry` and nowhere else, whether or not
+/// [`set_metrics_enabled`] is on. Span timings stay process-wide. The
+/// previous registry is restored afterwards, also on panic.
+pub fn with_metrics<R>(registry: &Metrics, f: impl FnOnce() -> R) -> R {
+    struct Restore(*const Metrics);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RUN_METRICS.with(|run| run.set(self.0));
+            RECORDING.fetch_sub(2, Ordering::Release);
+        }
     }
+    RECORDING.fetch_add(2, Ordering::Release);
+    let _restore = Restore(RUN_METRICS.with(|run| run.replace(registry)));
+    f()
 }
 
-/// Count one fault injected by an armed [`crate::failpoint`] plan.
-#[inline]
-pub fn count_fault_injected() {
-    if metrics_enabled() {
-        METRICS.faults_injected.incr();
-    }
-}
-
-/// Count an anytime stop by interrupt kind (called once per handled
-/// interrupt, where the trip is converted into a run status).
-pub fn count_interrupt(interrupt: crate::robust::Interrupt) {
-    if !metrics_enabled() {
-        return;
-    }
-    use crate::robust::Interrupt;
-    match interrupt {
-        Interrupt::Deadline => METRICS.interrupts_deadline.incr(),
-        Interrupt::IterationCap => METRICS.interrupts_iteration_cap.incr(),
-        Interrupt::Cancelled => METRICS.interrupts_cancelled.incr(),
-        Interrupt::MemoryExceeded { .. } => METRICS.interrupts_memory.incr(),
-    }
+/// Run `f` on a fresh registry and return its result with the run's own
+/// metrics: exact, and untouched by anything else running in the process.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
+    let registry = Metrics::new();
+    let out = with_metrics(&registry, f);
+    (out, registry.snapshot())
 }
 
 // ---------------------------------------------------------------------------
@@ -1482,7 +1189,7 @@ pub fn span_stats(name: &'static str) -> &'static SpanStats {
         total_ns: Counter::new(),
         self_ns: Counter::new(),
         max_ns: MaxGauge::new(),
-        ns_hist: Histogram::new(TIMING_NS_BOUNDS),
+        ns_hist: Histogram::with_bounds(TIMING_NS_BOUNDS),
     }));
     write.push((name, stats));
     stats
@@ -1610,7 +1317,7 @@ pub fn run_report_json() -> String {
         host_report_json(),
         TimingsSnapshot::capture().to_json(),
         faults.join(","),
-        MetricsSnapshot::capture().to_json()
+        metrics().snapshot().to_json()
     )
 }
 
@@ -2050,8 +1757,9 @@ impl Collector for MemoryCollector {
 mod tests {
     use super::*;
 
-    /// Serializes the tests that flip the process-global collector or
-    /// metrics switch; the rest of the suite runs in parallel threads.
+    /// Serializes the tests that install the process-wide collector or
+    /// time spans on the process registry; counter tests measure on their
+    /// own registries and need no lock.
     fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -2101,7 +1809,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_observations() {
-        let h = Histogram::new(POW10_BOUNDS);
+        let h = Histogram::new();
         h.observe(0.0); // <= 1e-6
         h.observe(0.5); // <= 1.0
         h.observe(1e12); // overflow bucket
@@ -2113,27 +1821,87 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_isolates_deltas() {
-        let _guard = global_state_lock();
-        let before = MetricsSnapshot::capture();
-        set_metrics_enabled(true);
-        metrics().oracle_dense_evals.add(7);
-        metrics().ls_moves.incr();
-        set_metrics_enabled(false);
-        let after = MetricsSnapshot::capture();
-        let delta = after.diff(&before);
-        assert!(delta.oracle_dense_evals >= 7);
-        assert!(delta.ls_moves >= 1);
+    fn run_registry_holds_exactly_the_runs_counts() {
+        let (_, snap) = measure(|| {
+            record(|m| m.oracle_dense_evals.add(7));
+            record(|m| m.ls_moves.incr());
+        });
+        assert_eq!(snap.oracle_dense_evals, 7);
+        assert_eq!(snap.ls_moves, 1);
+        assert_eq!(
+            snap,
+            MetricsSnapshot {
+                oracle_dense_evals: 7,
+                ls_moves: 1,
+                ..MetricsSnapshot::default()
+            }
+        );
+        // A plain thread does not inherit the run registry (only
+        // `parallel` workers do), so its count lands elsewhere.
+        let registry = Metrics::new();
+        with_metrics(&registry, || {
+            std::thread::spawn(|| record(|m| m.ls_moves.incr()))
+                .join()
+                .unwrap_or_default();
+        });
+        assert_eq!(registry.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
     fn snapshot_json_is_parseable_shape() {
-        let snap = MetricsSnapshot::capture();
-        let json = snap.to_json();
+        let json = Metrics::new().snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"oracle_dense_evals\":"));
-        assert!(json.contains("\"mem_high_water_bytes\":"));
-        assert!(json.contains("\"ls_delta_hist\":["));
+        assert!(json.contains("\"ls_delta_hist\":[0,0,0,0,0,0,0,0,0]"));
+        assert!(json.contains("\"kernels_dispatch_tier\":\"none\""));
+        assert!(json.contains("\"ls_improvement\":0.0"));
+        // Every key is the last quoted word before a `":`.
+        let parts: Vec<&str> = json.split("\":").collect();
+        let keys: Vec<&str> = parts[..parts.len() - 1]
+            .iter()
+            .filter_map(|part| part.rsplit('"').next())
+            .collect();
+        let expected = [
+            "oracle_dense_evals",
+            "oracle_lazy_evals",
+            "oracle_packed_evals",
+            "kernels_fallback_scalar",
+            "kernels_row_batches",
+            "kernels_dispatch_tier",
+            "oracle_evals_total",
+            "ls_passes",
+            "ls_nodes_visited",
+            "ls_moves",
+            "ls_improvement",
+            "ls_delta_hist",
+            "linkage_merges",
+            "linkage_chain_rebuilds",
+            "balls_formed",
+            "furthest_centers",
+            "pivot_rounds",
+            "exact_nodes",
+            "sampling_runs",
+            "sampling_sampled",
+            "sampling_assigned",
+            "sampling_reclustered",
+            "checkpoint_saves",
+            "checkpoint_retries",
+            "checkpoint_failures",
+            "checkpoint_corruptions",
+            "checkpoint_bytes_hist",
+            "interrupts_deadline",
+            "interrupts_iteration_cap",
+            "interrupts_cancelled",
+            "interrupts_memory",
+            "faults_injected",
+            "mem_high_water_bytes",
+        ];
+        assert_eq!(keys, expected);
+        let snap = MetricsSnapshot {
+            oracle_dense_evals: 3,
+            oracle_lazy_evals: 4,
+            ..MetricsSnapshot::default()
+        };
+        assert!(snap.to_json().contains("\"oracle_evals_total\":7,"));
     }
 
     #[test]
@@ -2372,19 +2140,18 @@ mod tests {
     #[test]
     fn interrupt_counting_by_kind() {
         use crate::robust::Interrupt;
-        let _guard = global_state_lock();
-        let before = MetricsSnapshot::capture();
-        set_metrics_enabled(true);
-        count_interrupt(Interrupt::Deadline);
-        count_interrupt(Interrupt::Cancelled);
-        count_interrupt(Interrupt::MemoryExceeded {
-            requested: 1,
-            limit: 1,
+        let (_, delta) = measure(|| {
+            Interrupt::Deadline.status();
+            Interrupt::Cancelled.status();
+            Interrupt::MemoryExceeded {
+                requested: 1,
+                limit: 1,
+            }
+            .status();
         });
-        set_metrics_enabled(false);
-        let delta = MetricsSnapshot::capture().diff(&before);
-        assert!(delta.interrupts_deadline >= 1);
-        assert!(delta.interrupts_cancelled >= 1);
-        assert!(delta.interrupts_memory >= 1);
+        assert_eq!(delta.interrupts_deadline, 1);
+        assert_eq!(delta.interrupts_cancelled, 1);
+        assert_eq!(delta.interrupts_memory, 1);
+        assert_eq!(delta.interrupts_iteration_cap, 0);
     }
 }

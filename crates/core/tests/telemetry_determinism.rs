@@ -13,11 +13,13 @@
 //!    from the snapshot, not repetition, so oracle-evaluation and move
 //!    counters match exactly.
 //!
-//! The metrics registry is process-global, so every test serializes on one
-//! mutex and measures with before/after snapshot diffs.
+//! Each measured run records into its own registry ([`measure`]), so the
+//! tests run in parallel and every count is exact: nothing else running
+//! in the process reaches a run's snapshot. A third test checks that
+//! directly by running two instances at once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
@@ -29,38 +31,11 @@ use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::DenseOracle;
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, Checkpointer, SnapshotLoad};
-use aggclust_core::telemetry::{set_metrics_enabled, MetricsSnapshot};
+use aggclust_core::telemetry::{measure, MetricsSnapshot};
 use aggclust_core::RunBudget;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// All counter-measuring tests share the process-global registry; this
-/// lock keeps their before/after windows from interleaving.
-fn metrics_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `f` with metrics enabled and return its counter delta.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
-    set_metrics_enabled(true);
-    let before = MetricsSnapshot::capture();
-    let out = f();
-    let delta = MetricsSnapshot::capture().diff(&before);
-    set_metrics_enabled(false);
-    (out, delta)
-}
-
-/// Counter deltas with the high-water gauge masked out: `diff` keeps the
-/// gauge's absolute value, which legitimately depends on what ran earlier
-/// in the process, so equality claims exclude it.
-fn masked(mut s: MetricsSnapshot) -> MetricsSnapshot {
-    s.mem_high_water_bytes = 0;
-    s
-}
 
 fn noisy_inputs(n: usize, m: usize, k: u32, noise: f64, seed: u64) -> Vec<Clustering> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -83,10 +58,10 @@ fn noisy_inputs(n: usize, m: usize, k: u32, noise: f64, seed: u64) -> Vec<Cluste
         .collect()
 }
 
-/// Every algorithm once, under one thread override; the counter delta is
+/// Every algorithm once, under one thread override; the run's metrics are
 /// the quantity under test.
 fn run_all(oracle: &DenseOracle, threads: usize) -> MetricsSnapshot {
-    let (_, delta) = measured(|| {
+    let (_, metrics) = measure(|| {
         with_num_threads(threads, || {
             (
                 balls(oracle, BallsParams::practical()),
@@ -103,12 +78,11 @@ fn run_all(oracle: &DenseOracle, threads: usize) -> MetricsSnapshot {
             )
         })
     });
-    masked(delta)
+    metrics
 }
 
 #[test]
 fn counters_are_thread_invariant_across_chunking_gates() {
-    let _guard = metrics_lock();
     // n = 2200 crosses MIN_CHUNK_PAIRS and the LOCALSEARCH prefetch gate
     // (2048), so the multi-chunk code paths execute with real workers.
     let inputs = noisy_inputs(2200, 4, 10, 0.3, 7);
@@ -124,7 +98,7 @@ fn counters_are_thread_invariant_across_chunking_gates() {
 
 /// Interrupt a LOCALSEARCH run at the iteration cap (checkpointing every
 /// node), resume it from the on-disk snapshot, and return the *combined*
-/// counter delta of both halves.
+/// metrics of both halves.
 fn interrupted_run(
     algorithm: &Algorithm,
     oracle: &DenseOracle,
@@ -133,7 +107,7 @@ fn interrupted_run(
 ) -> MetricsSnapshot {
     let path = dir.join("run.ckpt");
     std::fs::remove_file(&path).ok();
-    let (_, delta) = measured(|| {
+    let (_, metrics) = measure(|| {
         let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
         let capped = algorithm
             .run_resumable(
@@ -160,7 +134,39 @@ fn interrupted_run(
             )
             .expect("resumed run");
     });
-    masked(delta)
+    metrics
+}
+
+/// Two different instances measured at the same time on two threads,
+/// each with two workers, report exactly what each reports alone: the
+/// runs' metrics are disjoint, down to the bits of the float sum.
+#[test]
+fn concurrent_runs_keep_their_own_exact_counters() {
+    let a = DenseOracle::from_clusterings(&noisy_inputs(800, 4, 10, 0.3, 11));
+    let b = DenseOracle::from_clusterings(&noisy_inputs(700, 5, 8, 0.2, 12));
+    let alone_a = run_all(&a, 2);
+    let alone_b = run_all(&b, 2);
+    assert!(alone_a.oracle_dense_evals > 0 && alone_a.ls_moves > 0);
+    assert_ne!(alone_a, alone_b, "the two instances must do different work");
+    let start = Barrier::new(2);
+    let (together_a, together_b) = std::thread::scope(|scope| {
+        let ha = scope.spawn(|| {
+            start.wait();
+            run_all(&a, 2)
+        });
+        let hb = scope.spawn(|| {
+            start.wait();
+            run_all(&b, 2)
+        });
+        (ha.join().expect("run a"), hb.join().expect("run b"))
+    });
+    for (alone, together) in [(&alone_a, &together_a), (&alone_b, &together_b)] {
+        assert_eq!(alone, together, "concurrent run's metrics differ");
+        assert_eq!(
+            alone.ls_improvement.to_bits(),
+            together.ls_improvement.to_bits()
+        );
+    }
 }
 
 proptest! {
@@ -174,7 +180,6 @@ proptest! {
             prop::collection::vec(0u32..6, 40), 2..5
         )
     ) {
-        let _guard = metrics_lock();
         let inputs: Vec<Clustering> =
             labels.into_iter().map(Clustering::from_labels).collect();
         let oracle = DenseOracle::from_clusterings(&inputs);
@@ -198,7 +203,6 @@ proptest! {
         cap in 0u64..120,
         seed in 0u64..50,
     ) {
-        let _guard = metrics_lock();
         let inputs: Vec<Clustering> =
             labels.into_iter().map(Clustering::from_labels).collect();
         let oracle = DenseOracle::from_clusterings(&inputs);
@@ -206,12 +210,11 @@ proptest! {
             init: LocalSearchInit::Random { k: 3, seed },
             ..Default::default()
         });
-        let (_, reference) = measured(|| {
+        let (_, reference) = measure(|| {
             algorithm
                 .run_budgeted(&oracle, &RunBudget::unlimited())
                 .expect("reference run")
         });
-        let reference = masked(reference);
         // Unique across threads and across concurrent test processes.
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
