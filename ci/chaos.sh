@@ -33,13 +33,17 @@ trap 'rm -rf "$WORK"' EXIT
 
 # n = 600, m = 3: planted 9-block structure with deterministic disagreement,
 # the same generator family as ci/kill-resume.sh at a size where a 1 MB
-# memory budget forces the lazy-oracle path (dense matrix ≈ 1.4 MB).
+# memory budget forces the lazy-oracle path (dense matrix ≈ 1.4 MB). The
+# third label of every 11th row is missing: on total inputs LOCALSEARCH
+# runs on label counts, needs no matrix and finishes before its first
+# checkpoint, while a missing label keeps it on the capped lazy oracle.
 awk 'BEGIN {
   for (v = 0; v < 600; v++) {
     base = v % 9
     b = (base + (v % 5 == 0)) % 9
     c = (base + (v % 7 == 0)) % 9
-    printf "%d,%d,%d\n", base, b, c
+    if ((v + 1) % 11 == 0) printf "%d,%d,?\n", base, b
+    else printf "%d,%d,%d\n", base, b, c
   }
 }' > "$WORK/input.csv"
 

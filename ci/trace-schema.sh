@@ -42,7 +42,9 @@ gen_input 2000 > "$WORK/in2000.csv"
 gen_input 5000 > "$WORK/in5000.csv"
 
 echo "== n = 2000 run with --trace-out / --metrics-out =="
-"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
+# BALLS reads the dense matrix; its LOCALSEARCH refinement (on by default)
+# keeps the local_search span in the trace.
+"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm balls \
     --trace-out "$WORK/trace.jsonl" --metrics-out "$WORK/report.json" \
     --output /dev/null --log-level error
 
@@ -156,7 +158,8 @@ for name, span in timings.items():
         f"timings[{name!r}]: bad ns_hist"
     assert sum(hist) == span["count"], \
         f"timings[{name!r}]: ns_hist does not sum to count"
-for required_span in ("local_search", "dense_build", "condensed_alloc"):
+for required_span in ("local_search", "dense_build", "condensed_alloc",
+                      "cost", "lower_bound"):
     assert required_span in timings, f"timings: {required_span!r} span missing"
 assert timings["local_search"]["total_ns"] > 0, "local_search span untimed"
 assert timings["dense_build"]["total_ns"] >= \
@@ -198,9 +201,9 @@ print("OK: the Figure 5 scaling claim holds on the counters")
 EOF
 
 echo "== capped run: the lazy oracle must serve it and labels must match =="
-"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
+"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm balls \
     --no-refine --output "$WORK/unconstrained.txt" --log-level error
-"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
+"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm balls \
     --no-refine --mem-budget-mb 1 \
     --metrics-out "$WORK/capped.json" --output "$WORK/capped.txt" \
     --log-level error
@@ -214,6 +217,29 @@ assert metrics["oracle_lazy_evals"] > 0, "oracle_lazy_evals did not fire"
 assert metrics["oracle_dense_evals"] == 0, "capped run still read a dense matrix"
 print(f"OK: capped run made {metrics['oracle_lazy_evals']} lazy evaluations; "
       f"labels match the dense run")
+EOF
+
+echo "== capped LOCALSEARCH on total inputs: label counts, no matrix =="
+"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
+    --no-refine --output "$WORK/ls_unconstrained.txt" --log-level error
+"$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
+    --no-refine --mem-budget-mb 1 \
+    --metrics-out "$WORK/ls_capped.json" --output "$WORK/ls_capped.txt" \
+    2> "$WORK/ls_capped.err"
+cmp "$WORK/ls_unconstrained.txt" "$WORK/ls_capped.txt"
+if grep -q "warning" "$WORK/ls_capped.err"; then
+    cat "$WORK/ls_capped.err" >&2
+    exit 1
+fi
+python3 - "$WORK/ls_capped.json" <<'EOF'
+import json
+import sys
+
+metrics = json.load(open(sys.argv[1]))["metrics"]
+assert metrics["oracle_lazy_evals"] == 0, "capped LOCALSEARCH read the lazy oracle"
+assert metrics["oracle_dense_evals"] == 0, "capped LOCALSEARCH read a dense matrix"
+assert metrics["ls_nodes_visited"] > 0, "LOCALSEARCH counters did not fire"
+print("OK: capped LOCALSEARCH ran on label counts with no warning; labels match")
 EOF
 
 echo "== forced tier: AGGCLUST_SIMD=swar must be honored and reported =="
@@ -253,7 +279,12 @@ print(f"OK: {len(faults)} injections embedded, matching faults_injected")
 EOF
 
 echo "== --progress: heartbeats render as single stderr lines =="
-"$BIN" aggregate --input "$WORK/in5000.csv" --algorithm local-search \
+# A missing label in every 11th row keeps LOCALSEARCH on the oracle path,
+# long enough (seconds) for the 200 ms heartbeat cadence; on total inputs
+# it finishes in tens of milliseconds.
+awk -F, -v OFS=, 'NR % 11 == 0 { $3 = "?" } 1' "$WORK/in5000.csv" \
+    > "$WORK/in5000_missing.csv"
+"$BIN" aggregate --input "$WORK/in5000_missing.csv" --algorithm local-search \
     --no-refine --threads 1 --progress --output /dev/null \
     --log-level error 2> "$WORK/progress.txt"
 grep -q "^progress: local_search " "$WORK/progress.txt"

@@ -87,7 +87,9 @@ AGGREGATE OPTIONS:
     --max-iters N         iteration budget (same anytime semantics)
     --mem-budget-mb N     tracked-memory cap; runs that would exceed it
                           degrade (dense matrix -> lazy oracle /
-                          sampling) instead of allocating past the cap
+                          sampling) instead of allocating past the cap;
+                          local-search on inputs with no missing labels
+                          needs no matrix and never degrades
     --checkpoint PATH     crash-safe checkpoint file, written atomically
                           while the run is in flight and deleted on
                           converged success; SIGINT also flushes a final

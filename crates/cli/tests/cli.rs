@@ -382,7 +382,14 @@ fn sigkill_and_resume_is_bit_identical() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // The descent takes milliseconds: kill as soon as a checkpoint is on
+    // disk (or give up once the victim has exited on its own).
+    for _ in 0..3000 {
+        if ckpt.exists() || victim.try_wait().unwrap().is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     if victim.try_wait().unwrap().is_none() {
         victim.kill().unwrap(); // SIGKILL on unix
     }
@@ -513,31 +520,84 @@ fn resume_without_checkpoint_is_a_usage_error() {
     fs::remove_file(input).ok();
 }
 
+/// An unsigned counter from a `--metrics-out` run report.
+fn report_counter(report: &str, key: &str) -> u64 {
+    let pattern = format!("\"{key}\":");
+    let at = report
+        .find(&pattern)
+        .unwrap_or_else(|| panic!("no {key} in {report}"));
+    let digits: String = report[at + pattern.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
 #[test]
 fn mem_budget_degrades_to_the_lazy_oracle_with_identical_labels() {
     // n = 600: the dense matrix needs 600·599/2·8 ≈ 1.4 MB, over a 1 MB
-    // cap. The run must complete through the lazy oracle, warn, and
-    // produce exactly the labels of the uncapped run.
+    // cap. BALLS needs distances, so the run must complete through the
+    // lazy oracle, warn, read no dense matrix, and produce exactly the
+    // labels of the uncapped run.
     let input = tmp("mem.csv", &planted_csv(600, 8));
-    let run = |extra: &[&str]| {
+    let report = tmp("mem-report.json", "");
+    let run = |algorithm: &str, extra: &[&str]| {
         let mut args = vec![
             "aggregate",
             "--input",
             input.to_str().unwrap(),
             "--algorithm",
-            "local-search",
+            algorithm,
         ];
         args.extend_from_slice(extra);
         bin().args(&args).output().unwrap()
     };
-    let unlimited = run(&[]);
+    let capped_report = [
+        "--mem-budget-mb",
+        "1",
+        "--metrics-out",
+        report.to_str().unwrap(),
+    ];
+    let unlimited = run("balls", &[]);
     assert!(unlimited.status.success());
-    let capped = run(&["--mem-budget-mb", "1"]);
+    let capped = run("balls", &capped_report);
     assert!(capped.status.success(), "{capped:?}");
     let stderr = String::from_utf8_lossy(&capped.stderr);
     assert!(stderr.contains("lazy oracle"), "{stderr}");
     assert_eq!(unlimited.stdout, capped.stdout);
+    let metrics = fs::read_to_string(&report).unwrap();
+    assert!(
+        report_counter(&metrics, "oracle_lazy_evals") > 0,
+        "{metrics}"
+    );
+    assert_eq!(
+        report_counter(&metrics, "oracle_dense_evals"),
+        0,
+        "{metrics}"
+    );
+
+    // LOCALSEARCH on total inputs needs no matrix at all: the same cap
+    // changes nothing — no warning, no dense or lazy reads, same labels.
+    let unlimited = run("local-search", &[]);
+    assert!(unlimited.status.success());
+    let capped = run("local-search", &capped_report);
+    assert!(capped.status.success(), "{capped:?}");
+    let stderr = String::from_utf8_lossy(&capped.stderr);
+    assert!(!stderr.contains("warning"), "{stderr}");
+    assert_eq!(unlimited.stdout, capped.stdout);
+    let metrics = fs::read_to_string(&report).unwrap();
+    assert_eq!(
+        report_counter(&metrics, "oracle_lazy_evals"),
+        0,
+        "{metrics}"
+    );
+    assert_eq!(
+        report_counter(&metrics, "oracle_dense_evals"),
+        0,
+        "{metrics}"
+    );
     fs::remove_file(input).ok();
+    fs::remove_file(report).ok();
 }
 
 #[test]

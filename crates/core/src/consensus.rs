@@ -23,16 +23,21 @@
 //! automatically above a size threshold where the dense `O(n²)` matrix
 //! stops being reasonable.
 
-use crate::algorithms::local_search::local_search_from;
-use crate::algorithms::local_search::local_search_from_resumable;
+use crate::algorithms::local_search::{
+    local_search_from, local_search_from_resumable, local_search_labels_from_resumable,
+    local_search_labels_resumable,
+};
 use crate::algorithms::sampling::{sampling, sampling_resumable, SamplingParams};
 use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use crate::clustering::{Clustering, PartialClustering};
-use crate::cost::{correlation_cost, lower_bound};
+use crate::cost::{correlation_cost, lower_bound, lower_bound_units};
 use crate::distance::{disagreement_distance_gauged, total_disagreement};
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
-use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
+use crate::instance::{
+    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy,
+};
+use crate::kernels::LabelMatrix;
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
 use std::fmt;
@@ -382,22 +387,18 @@ impl ConsensusBuilder {
     /// the best consensus found so far, tagged via `status` and explained in
     /// `warnings`.
     pub fn try_aggregate(&self, inputs: &[Clustering]) -> AggResult<ConsensusResult> {
-        let partial: Vec<PartialClustering> =
-            inputs.iter().map(PartialClustering::from_total).collect();
-        let mut result = self.try_aggregate_partial(partial)?;
-        if !result.sampled && result.cost.is_finite() {
-            // Contingency tables are charged to the budget's gauge so
-            // `--mem-budget` diagnostics see transient usage too.
-            let gauge = self.budget.mem_gauge();
-            result.disagreements = inputs
-                .iter()
-                .map(|c| disagreement_distance_gauged(c, &result.clustering, Some(gauge)))
-                .sum();
-        }
-        Ok(result)
+        // Total inputs already get the exact integer `D(C)`.
+        self.try_aggregate_partial(inputs.iter().map(PartialClustering::from_total).collect())
     }
 
     /// Fallible, budget-aware variant of [`ConsensusBuilder::aggregate_partial`].
+    ///
+    /// When every input labels every object, LOCALSEARCH (as the main
+    /// algorithm or as refinement), the cost and the lower bound run on
+    /// label counts and exact integers: with LOCALSEARCH as the main
+    /// algorithm no distance matrix is requested at all, so the memory cap
+    /// has nothing to refuse. Only the main algorithms that need distances
+    /// go through the chain below.
     ///
     /// Graceful-degradation chain:
     /// 1. `n` over the sampling threshold → SAMPLING (budgeted).
@@ -462,6 +463,48 @@ impl ConsensusBuilder {
             );
         }
 
+        // A refinement-stage snapshot already contains the labels the main
+        // stage produced (and every refinement move since); re-running the
+        // main stage would discard resumed work.
+        let skip_main = self.refine && resume_refine.is_some();
+        let totals = instance.total_inputs();
+        if let Some(totals) = totals.as_deref() {
+            let label_main = match &self.algorithm {
+                Algorithm::LocalSearch(p) if !self.prefer_exact => Some(p),
+                _ => None,
+            };
+            if skip_main || label_main.is_some() {
+                let (clustering, status) = match label_main.filter(|_| !skip_main) {
+                    Some(params) => {
+                        if let Some(c) = ckpt.as_mut() {
+                            c.set_stage(0);
+                        }
+                        let resume = match resume_main {
+                            Some(AlgorithmSnapshot::LocalSearch(s)) => Some(s),
+                            _ => None,
+                        };
+                        let outcome = local_search_labels_resumable(
+                            totals,
+                            params.clone(),
+                            &self.budget,
+                            resume,
+                            ckpt.as_mut(),
+                        )?;
+                        (outcome.clustering, outcome.status)
+                    }
+                    None => (Clustering::singletons(n), RunStatus::Converged),
+                };
+                return self.finish(
+                    clustering,
+                    status,
+                    Distances::<DenseOracle>::Labels(totals),
+                    Vec::new(),
+                    &mut ckpt,
+                    resume_refine,
+                );
+            }
+        }
+
         let mut warnings = Vec::new();
         let dense = match instance.try_dense_oracle(&self.budget) {
             Ok(dense) => dense,
@@ -500,8 +543,8 @@ impl ConsensusBuilder {
                 let lazy = instance.lazy_oracle();
                 return self.finish_with_oracle(
                     &lazy,
-                    n,
                     m,
+                    totals.as_deref(),
                     warnings,
                     &mut ckpt,
                     resume_main,
@@ -525,8 +568,8 @@ impl ConsensusBuilder {
         };
         self.finish_with_oracle(
             &dense,
-            n,
             m,
+            totals.as_deref(),
             warnings,
             &mut ckpt,
             resume_main,
@@ -572,24 +615,24 @@ impl ConsensusBuilder {
         })
     }
 
-    /// The main-algorithm + refinement tail, generic over the oracle so the
-    /// memory-degraded lazy path shares every line with the dense path.
+    /// The main algorithm over a distance oracle, then [`Self::finish`]:
+    /// generic over the oracle so the memory-degraded lazy path shares
+    /// every line with the dense path. `totals` carries the inputs when
+    /// every input labels every object, for the label-count tail.
     #[allow(clippy::too_many_arguments)]
     fn finish_with_oracle<O: DistanceOracle + Sync>(
         &self,
         oracle: &O,
-        n: usize,
         m: usize,
+        totals: Option<&[Clustering]>,
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
         resume_refine: Option<&LocalSearchSnapshot>,
     ) -> AggResult<ConsensusResult> {
-        // A refinement-stage snapshot already contains the labels the main
-        // stage produced (and every refinement move since); re-running the
-        // main stage would discard resumed work.
+        let n = oracle.len();
         let skip_main = self.refine && resume_refine.is_some();
-        let (mut clustering, mut status) = if skip_main {
+        let (clustering, status) = if skip_main {
             (Clustering::singletons(n), RunStatus::Converged)
         } else if self.prefer_exact {
             if n <= MAX_BNB_N {
@@ -613,7 +656,24 @@ impl ConsensusBuilder {
                     .run_resumable(oracle, &self.budget, resume_main, ckpt.as_mut())?;
             (outcome.clustering, outcome.status)
         };
+        let distances = match totals {
+            Some(totals) => Distances::Labels(totals),
+            None => Distances::Oracle(oracle, m),
+        };
+        self.finish(clustering, status, distances, warnings, ckpt, resume_refine)
+    }
 
+    /// The tail after the main stage: LOCALSEARCH refinement, then the
+    /// cost and the lower bound, each read from `distances`.
+    fn finish<O: DistanceOracle + Sync>(
+        &self,
+        mut clustering: Clustering,
+        mut status: RunStatus,
+        distances: Distances<'_, O>,
+        mut warnings: Vec<Warning>,
+        ckpt: &mut Option<Checkpointer>,
+        resume_refine: Option<&LocalSearchSnapshot>,
+    ) -> AggResult<ConsensusResult> {
         // When checkpointing, a tripped main stage keeps its final stage-0
         // snapshot: running refinement now would overwrite it with a
         // stage-1 snapshot of the *partial* main result, and a later resume
@@ -626,15 +686,27 @@ impl ConsensusBuilder {
             if let Some(c) = ckpt.as_mut() {
                 c.set_stage(1);
             }
-            let refined = local_search_from_resumable(
-                oracle,
-                &clustering,
-                200,
-                1e-9,
-                &self.budget,
-                resume_refine,
-                ckpt.as_mut(),
-            )?;
+            let (budget, ckpt) = (&self.budget, ckpt.as_mut());
+            let refined = match distances {
+                Distances::Labels(totals) => local_search_labels_from_resumable(
+                    totals,
+                    &clustering,
+                    200,
+                    1e-9,
+                    budget,
+                    resume_refine,
+                    ckpt,
+                ),
+                Distances::Oracle(oracle, _) => local_search_from_resumable(
+                    oracle,
+                    &clustering,
+                    200,
+                    1e-9,
+                    budget,
+                    resume_refine,
+                    ckpt,
+                ),
+            }?;
             if !refined.status.is_converged() {
                 push_warning(&mut warnings, Warning::RefinementInterrupted);
             }
@@ -642,10 +714,41 @@ impl ConsensusBuilder {
             clustering = refined.clustering;
         }
 
-        let cost = correlation_cost(oracle, &clustering);
+        let gauge = self.budget.mem_gauge();
+        let (disagreements, cost, lower_bound) = match distances {
+            Distances::Labels(totals) => {
+                // D = m·d exactly; the bound in the same integer units.
+                let m = totals.len() as f64;
+                let d: u64 = {
+                    let _span = crate::span!("cost");
+                    totals
+                        .iter()
+                        .map(|c| disagreement_distance_gauged(c, &clustering, Some(gauge)))
+                        .sum()
+                };
+                let bound = {
+                    let _span = crate::span!("lower_bound");
+                    let packed = LabelMatrix::from_total(totals);
+                    let _charge = gauge.charge(packed.bytes());
+                    lower_bound_units(&packed)
+                };
+                (d, d as f64 / m, bound as f64 / m)
+            }
+            Distances::Oracle(oracle, m) => {
+                let cost = {
+                    let _span = crate::span!("cost");
+                    correlation_cost(oracle, &clustering)
+                };
+                let bound = {
+                    let _span = crate::span!("lower_bound");
+                    lower_bound(oracle)
+                };
+                ((cost * m as f64).round() as u64, cost, bound)
+            }
+        };
         Ok(ConsensusResult {
-            disagreements: (cost * m as f64).round() as u64,
-            lower_bound: Some(lower_bound(oracle)),
+            disagreements,
+            lower_bound: Some(lower_bound),
             sampled: false,
             status,
             warnings,
@@ -654,6 +757,23 @@ impl ConsensusBuilder {
         })
     }
 }
+
+/// What the pipeline's LOCALSEARCH stages, cost and lower bound read.
+enum Distances<'a, O> {
+    /// Every input labels every object: label counts and exact integers,
+    /// no distance matrix.
+    Labels(&'a [Clustering]),
+    /// Some labels are missing: the distance oracle over `m` inputs.
+    Oracle(&'a O, usize),
+}
+
+impl<O> Clone for Distances<'_, O> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<O> Copy for Distances<'_, O> {}
 
 /// Largest sample size whose condensed distance matrix (`8·s(s−1)/2` bytes)
 /// fits in `bytes`.
@@ -828,24 +948,23 @@ mod tests {
     }
 
     #[test]
-    fn memory_cap_degrades_localsearch_to_the_lazy_oracle() {
+    fn memory_cap_degrades_balls_to_the_lazy_oracle() {
         // 40 objects: dense matrix = 40·39/2·8 = 6240 bytes. A 6000-byte
-        // cap refuses it; LOCALSEARCH is oracle-generic so the run degrades
-        // to the lazy oracle and still produces the same labels, at every
+        // cap refuses it; BALLS is oracle-generic so the run degrades to
+        // the lazy oracle and still produces the same labels, at every
         // thread count.
         let truth: Vec<u32> = (0..40).map(|v| v / 10).collect();
         let inputs = vec![c(&truth); 3];
-        let reference = ConsensusBuilder::new()
-            .algorithm(Algorithm::LocalSearch(Default::default()))
-            .try_aggregate(&inputs)
-            .unwrap();
+        let balls = || ConsensusBuilder::new().algorithm(Algorithm::Balls(BallsParams::default()));
+        let reference = balls().try_aggregate(&inputs).unwrap();
         for threads in [1usize, 2, 4] {
-            let capped = crate::parallel::with_num_threads(threads, || {
-                ConsensusBuilder::new()
-                    .algorithm(Algorithm::LocalSearch(Default::default()))
-                    .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
-                    .try_aggregate(&inputs)
-                    .unwrap()
+            let (capped, counters) = crate::parallel::with_num_threads(threads, || {
+                crate::telemetry::measure(|| {
+                    balls()
+                        .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
+                        .try_aggregate(&inputs)
+                        .unwrap()
+                })
             });
             assert_eq!(
                 capped.clustering, reference.clustering,
@@ -862,6 +981,41 @@ mod tests {
                 capped.warnings
             );
             assert_eq!(capped.cost, reference.cost, "{threads} threads");
+            assert!(counters.oracle_lazy_evals > 0, "{threads} threads");
+            assert_eq!(counters.oracle_dense_evals, 0, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn memory_cap_leaves_localsearch_on_total_inputs_on_label_counts() {
+        // The same cap as above: LOCALSEARCH on total inputs asks for no
+        // matrix, so nothing degrades — the uncapped labels, no warning,
+        // and no dense or lazy reads.
+        let truth: Vec<u32> = (0..40).map(|v| v / 10).collect();
+        let mut noisy = truth.clone();
+        for l in noisy.iter_mut().step_by(3) {
+            *l = (*l + 1) % 4;
+        }
+        let inputs = vec![c(&truth), c(&truth), c(&noisy)];
+        let local_search =
+            || ConsensusBuilder::new().algorithm(Algorithm::LocalSearch(Default::default()));
+        let reference = local_search().try_aggregate(&inputs).unwrap();
+        for threads in [1usize, 2, 4] {
+            let (capped, counters) = crate::parallel::with_num_threads(threads, || {
+                crate::telemetry::measure(|| {
+                    local_search()
+                        .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
+                        .try_aggregate(&inputs)
+                        .unwrap()
+                })
+            });
+            assert_eq!(capped.clustering, reference.clustering, "{threads} threads");
+            assert!(capped.status.is_converged());
+            assert!(capped.warnings.is_empty(), "{:?}", capped.warnings);
+            assert_eq!(capped.disagreements, reference.disagreements);
+            assert_eq!(counters.oracle_dense_evals, 0, "{threads} threads");
+            assert_eq!(counters.oracle_lazy_evals, 0, "{threads} threads");
+            assert!(counters.ls_nodes_visited > 0, "{threads} threads");
         }
     }
 

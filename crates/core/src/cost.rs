@@ -19,6 +19,7 @@
 
 use crate::clustering::Clustering;
 use crate::instance::DistanceOracle;
+use crate::kernels::LabelMatrix;
 use crate::parallel;
 
 /// The correlation-clustering cost `d(C)` (Problem 2). `O(n²)` oracle
@@ -95,6 +96,38 @@ pub fn lower_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f64 {
         let x = oracle.dist(u, v);
         x.min(1.0 - x)
     })
+}
+
+/// [`lower_bound`] of an instance built from total clusterings, in exact
+/// integer units: `Σ_{u<v} min(s_uv, m − s_uv)`, where `s_uv` counts the
+/// `m` inputs separating the pair — `m` times [`lower_bound`]. The counts
+/// come from the packed rows in `sep_row_into` batches, walked in the
+/// dense fill's cache-blocked bands; no distance matrix is built.
+pub(crate) fn lower_bound_units(labels: &LabelMatrix) -> u64 {
+    let n = labels.len();
+    let m = labels.lanes() as u32;
+    let band = labels.preferred_band();
+    let units = parallel::sum_ranges(parallel::row_ranges(n), |rows| {
+        let mut seps = vec![0u32; band];
+        let mut acc = 0u64;
+        let mut band_start = rows.start + 1;
+        while band_start < n {
+            let band_end = (band_start + band).min(n);
+            for u in rows.clone() {
+                let lo = band_start.max(u + 1);
+                if lo < band_end {
+                    let seps = &mut seps[..band_end - lo];
+                    labels.sep_row_into(u, lo, seps);
+                    acc += seps.iter().map(|&s| u64::from(s.min(m - s))).sum::<u64>();
+                }
+            }
+            band_start = band_end;
+        }
+        acc
+    });
+    let pairs = (n * n.saturating_sub(1) / 2) as u64;
+    crate::telemetry::record(|t| t.oracle_packed_evals.add(pairs));
+    units
 }
 
 /// The aggregation objective `D(C) = Σ_i d_V(C_i, C)` as an exact integer
@@ -210,5 +243,33 @@ mod tests {
             (correlation_cost(&oracle, &singles) - split_everything_cost(&oracle)).abs() < 1e-12
         );
         assert_eq!(within_cost(&oracle, &singles), 0.0);
+    }
+
+    #[test]
+    fn integer_lower_bound_is_m_times_the_oracle_bound() {
+        // Powers of two make the oracle's `k/m` sums exact, so the two
+        // bounds agree to the bit; m = 3 rounds, so only up to a few ulps.
+        let mut state = 7u64;
+        for (n, m) in [(6usize, 1usize), (40, 2), (300, 3), (130, 4), (257, 8)] {
+            let inputs: Vec<Clustering> = (0..m)
+                .map(|_| {
+                    let labels = (0..n)
+                        .map(|_| (crate::test_support::splitmix64(&mut state) % 5) as u32)
+                        .collect();
+                    Clustering::from_labels(labels)
+                })
+                .collect();
+            let units = lower_bound_units(&LabelMatrix::from_total(&inputs));
+            let oracle = lower_bound(&DenseOracle::from_clusterings(&inputs));
+            let scaled = units as f64 / m as f64;
+            if m.is_power_of_two() {
+                assert_eq!(scaled, oracle, "n {n} m {m}");
+            } else {
+                assert!((scaled - oracle).abs() <= 1e-9 * oracle, "n {n} m {m}");
+            }
+        }
+        let figure1_units = lower_bound_units(&LabelMatrix::from_total(&figure1()));
+        let figure1_bound = lower_bound(&DenseOracle::from_clusterings(&figure1()));
+        assert!((figure1_units as f64 / 3.0 - figure1_bound).abs() < 1e-12);
     }
 }

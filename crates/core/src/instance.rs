@@ -700,6 +700,17 @@ impl CorrelationInstance {
         self.inputs.iter().all(|c| c.num_missing() == 0)
     }
 
+    /// The inputs as total clusterings when every input labels every
+    /// object (see [`CorrelationInstance::all_total`]), else `None`.
+    pub(crate) fn total_inputs(&self) -> Option<Vec<Clustering>> {
+        self.all_total().then(|| {
+            self.inputs
+                .iter()
+                .map(PartialClustering::complete_with_singletons)
+                .collect()
+        })
+    }
+
     /// Precompute the full distance matrix (`O(n² m)` time, `O(n²)` space),
     /// filled in cache-blocked bands — same values as a row-major scalar
     /// fill. All-total inputs go through the batched `sep_row_into`

@@ -177,7 +177,7 @@ pub fn balanced_ranges(
 
 /// Row ranges covering `0..n` such that each range holds roughly the same
 /// number of pairs `(u, v)` with `u` in the range and `u < v < n`.
-fn row_ranges(n: usize) -> Vec<Range<usize>> {
+pub(crate) fn row_ranges(n: usize) -> Vec<Range<usize>> {
     balanced_ranges(n, MIN_CHUNK_PAIRS, |u| n - 1 - u)
 }
 
@@ -237,21 +237,23 @@ where
 /// Deterministic sum of `f(job)` over a fixed job list, one partial per
 /// job, combined in job order. The caller fixes the job boundaries (e.g.
 /// via [`balanced_ranges`]) so the grouping is independent of thread count.
-pub fn sum_jobs<T, F>(jobs: Vec<T>, f: F) -> f64
+pub fn sum_jobs<T, S, F>(jobs: Vec<T>, f: F) -> S
 where
     T: Send,
-    F: Fn(T) -> f64 + Sync,
+    S: Copy + Default + Send + std::iter::Sum,
+    F: Fn(T) -> S + Sync,
 {
-    let mut partials = vec![0.0f64; jobs.len()];
-    let zipped: Vec<(T, &mut f64)> = jobs.into_iter().zip(partials.iter_mut()).collect();
+    let mut partials = vec![S::default(); jobs.len()];
+    let zipped: Vec<(T, &mut S)> = jobs.into_iter().zip(partials.iter_mut()).collect();
     run_jobs(zipped, |(job, slot)| *slot = f(job));
     partials.into_iter().sum()
 }
 
 /// [`sum_jobs`] specialized to index ranges.
-pub fn sum_ranges<F>(ranges: Vec<Range<usize>>, f: F) -> f64
+pub fn sum_ranges<S, F>(ranges: Vec<Range<usize>>, f: F) -> S
 where
-    F: Fn(Range<usize>) -> f64 + Sync,
+    S: Copy + Default + Send + std::iter::Sum,
+    F: Fn(Range<usize>) -> S + Sync,
 {
     sum_jobs(ranges, f)
 }
