@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tests under load: ROUNDS rounds (first argument, default 20) of two
-# concurrent `cargo test` processes running the counter-determinism and
-# checkpoint-resume suites beside a CPU busy loop. Each run measures its
+# concurrent `cargo test` processes running the core library's unit tests
+# and the counter-determinism and checkpoint-resume suites beside a CPU
+# busy loop. Each run measures its
 # counters on its own registry, so neither the other process nor the
 # loaded CPU may change a result. Any failed run fails the script.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 ROUNDS=${1:-20}
-TESTS=(cargo test -q -p aggclust-core --test telemetry_determinism --test checkpoint_resume)
+TESTS=(cargo test -q -p aggclust-core --lib --test telemetry_determinism --test checkpoint_resume)
 "${TESTS[@]}" --no-run
 
 WORK=$(mktemp -d)

@@ -245,10 +245,7 @@ fn main() -> ExitCode {
         "aggregate" => cmd_aggregate(&args),
         "eval" => cmd_eval(&args),
         "diagnose" => cmd_diagnose(&args),
-        "demo" => {
-            cmd_demo();
-            Ok(())
-        }
+        "demo" => cmd_demo(),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(())
@@ -660,18 +657,19 @@ fn oracle_len(o: &impl aggclust_core::instance::DistanceOracle) -> usize {
     o.len()
 }
 
-fn cmd_demo() {
+fn cmd_demo() -> Result<(), CliError> {
     use aggclust_core::clustering::Clustering;
     let inputs = vec![
         Clustering::from_labels(vec![0, 0, 1, 1, 2, 2]),
         Clustering::from_labels(vec![0, 1, 0, 1, 2, 3]),
         Clustering::from_labels(vec![0, 1, 0, 1, 2, 2]),
     ];
-    let result = aggclust_core::consensus::aggregate(&inputs);
+    let result = ConsensusBuilder::new().try_aggregate(&inputs)?;
     println!("Figure 1 of the paper: 6 objects, 3 input clusterings.");
     println!(
         "consensus: {:?} with {} total disagreements (paper: 5)",
         result.clustering.labels(),
         result.disagreements
     );
+    Ok(())
 }

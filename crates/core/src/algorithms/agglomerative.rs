@@ -17,7 +17,7 @@
 use crate::clustering::Clustering;
 use crate::error::AggResult;
 use crate::instance::DistanceOracle;
-use crate::linkage::{linkage, linkage_resumable, CondensedMatrix, LinkageMethod};
+use crate::linkage::{linkage_resumable, CondensedMatrix, LinkageMethod};
 use crate::robust::{RunBudget, RunOutcome};
 use crate::snapshot::{AgglomerativeSnapshot, Checkpointer};
 
@@ -62,16 +62,7 @@ pub fn agglomerative<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: AgglomerativeParams,
 ) -> Clustering {
-    let n = oracle.len();
-    if n == 0 {
-        return Clustering::from_labels(Vec::new());
-    }
-    let matrix = CondensedMatrix::from_oracle(oracle);
-    let dendrogram = linkage(matrix, LinkageMethod::Average);
-    match params.num_clusters {
-        Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
-        None => dendrogram.cut_height(params.threshold),
-    }
+    run(oracle, params, &RunBudget::unlimited(), None, None).clustering
 }
 
 /// Budgeted AGGLOMERATIVE with anytime semantics. One budget iteration per
@@ -108,21 +99,33 @@ pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
             "must not be NaN",
         ));
     }
+    Ok(run(oracle, params, budget, resume, ckpt))
+}
+
+/// Shared engine behind [`agglomerative`] and [`agglomerative_resumable`]:
+/// build the budgeted matrix, merge, cut.
+fn run<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    params: AgglomerativeParams,
+    budget: &RunBudget,
+    resume: Option<&AgglomerativeSnapshot>,
+    ckpt: Option<&mut Checkpointer>,
+) -> RunOutcome {
     let n = oracle.len();
     let _span = crate::span!("agglomerative", n = n, resuming = resume.is_some());
     if n == 0 {
-        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
+        return RunOutcome::converged(Clustering::from_labels(Vec::new()));
     }
     let matrix = match CondensedMatrix::try_from_oracle(oracle, budget) {
         Ok(matrix) => matrix,
         Err(interrupt) => {
             // No partial matrix to salvage: the only valid anytime answer
             // before any merge is the all-singletons start.
-            return Ok(RunOutcome {
+            return RunOutcome {
                 clustering: Clustering::singletons(n),
                 status: interrupt.status(),
                 iterations: 0,
-            });
+            };
         }
     };
     let (dendrogram, status, iterations) =
@@ -131,11 +134,11 @@ pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
         Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
         None => dendrogram.cut_height(params.threshold),
     };
-    Ok(RunOutcome {
+    RunOutcome {
         clustering,
         status,
         iterations,
-    })
+    }
 }
 
 #[cfg(test)]

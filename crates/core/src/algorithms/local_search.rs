@@ -36,39 +36,17 @@
 //! singleton wins ties, then the lowest cluster id; a move needs
 //! `cur − best > epsilon·m`) are the oracle path's.
 //!
-//! ## Parallel execution (oracle path)
-//!
-//! Steepest descent is inherently sequential — every move changes the
-//! labels that the next node's evaluation depends on — but the expensive
-//! part of an oracle visit, the `n − 1` lookups `X_vu`, depends only on
-//! the (immutable) distances. The oracle path therefore prefetches the
-//! distance rows for a fixed-size *block* of upcoming nodes in parallel
-//! (one big [`crate::parallel::fill_slice`] call amortizes thread
-//! dispatch), then replays the nodes serially against the cached rows,
-//! accumulating `M(v, C_i)` and `T_v` in the same naive `u` order as the
-//! serial code. The move sequence — and hence the result — is bit-identical
-//! to a fully serial run at any thread count. The label-count path is
-//! serial and needs no prefetch.
+//! Both scorers are serial: steepest descent is inherently sequential —
+//! every move changes the labels the next visit depends on.
 
 use crate::clustering::Clustering;
 use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
-use crate::parallel;
 use crate::robust::{MemCharge, MemGauge, RunBudget, RunOutcome, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot};
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
-
-/// Nodes per prefetched block: large enough that one parallel fill of
-/// `ROW_BLOCK · n` distances dwarfs thread-dispatch overhead, small enough
-/// to keep the row cache (`ROW_BLOCK · n` f64s) modest.
-const ROW_BLOCK: usize = 32;
-
-/// Below this instance size the row cache is skipped entirely: the plain
-/// serial loop is faster and produces the same result.
-const PREFETCH_MIN_N: usize = 2048;
 
 /// The starting point for [`local_search`].
 #[derive(Clone, Debug, Default)]
@@ -463,7 +441,6 @@ fn descend_resumable<S: Scorer>(
         s
     };
     let mut scorer = make(&labels);
-    let block = scorer.block();
 
     let mut meter = budget.meter_from(done);
     let mut heartbeat = telemetry::Heartbeat::new("local_search", n as u64).with_budget(budget);
@@ -473,79 +450,70 @@ fn descend_resumable<S: Scorer>(
         let resuming = pass == first_pass && resume.is_some();
         let skip_before = if resuming { resume_node } else { 0 };
         let mut moved = resuming && resumed_moved;
-        let mut block_start = (skip_before.min(n.saturating_sub(1)) / block) * block;
-        while block_start < n {
-            let block_end = (block_start + block).min(n);
-            scorer.prefetch(block_start..block_end);
-            for v in block_start..block_end {
-                if v < skip_before {
-                    continue;
-                }
-                // One budget iteration per node visit: the labels between
-                // visits always describe a valid clustering no costlier
-                // than the start.
-                if let Err(interrupt) = meter.tick() {
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        // Final checkpoint at the interrupt point; `v` has
-                        // not been visited, and the failed tick is not
-                        // completed work.
-                        let _ = c.save_now(AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
-                            labels: labels.clone(),
-                            pass: pass as u64,
-                            next_node: v as u64,
-                            moved_in_pass: moved,
-                            iterations: meter.iterations() - 1,
-                            rng: rng_state,
-                        }));
-                    }
-                    return (labels, interrupt.status(), meter.iterations());
-                }
-                telemetry::record(|m| m.ls_nodes_visited.incr());
-                if let Some((best, gain)) = scorer.best_move(v, epsilon, &labels, &sizes) {
-                    let cur = labels[v] as usize;
-                    sizes[cur] -= 1;
-                    let target = best.unwrap_or_else(|| {
-                        if sizes[cur] == 0 {
-                            // Moving a singleton to a fresh singleton is a
-                            // no-op; keep the label. (Unreachable because
-                            // the costs are equal, but kept for safety.)
-                            cur
-                        } else {
-                            sizes.push(0);
-                            sizes.len() - 1
-                        }
-                    });
-                    sizes[target] += 1;
-                    labels[v] = target as u32;
-                    scorer.moved(v, cur, target);
-                    telemetry::record(|m| {
-                        m.ls_moves.incr();
-                        // The move's strict cost improvement; accumulated
-                        // serially (the descent visits nodes one at a
-                        // time), so the sum's rounding order is fixed and
-                        // the total is bit-reproducible.
-                        m.ls_improvement.add(gain);
-                        m.ls_delta_hist.observe(gain);
-                    });
-                    moved = true;
-                }
-                // Progress within the current pass; each pass restarts the
-                // cursor, so `done/total` reads as pass completion.
-                heartbeat.tick((v + 1) as u64);
+        for v in skip_before..n {
+            // One budget iteration per node visit: the labels between
+            // visits always describe a valid clustering no costlier
+            // than the start.
+            if let Err(interrupt) = meter.tick() {
                 if let Some(c) = ckpt.as_deref_mut() {
-                    c.maybe_save(|| {
-                        AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
-                            labels: labels.clone(),
-                            pass: pass as u64,
-                            next_node: (v + 1) as u64,
-                            moved_in_pass: moved,
-                            iterations: meter.iterations(),
-                            rng: rng_state,
-                        })
-                    });
+                    // Final checkpoint at the interrupt point; `v` has
+                    // not been visited, and the failed tick is not
+                    // completed work.
+                    let _ = c.save_now(AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
+                        labels: labels.clone(),
+                        pass: pass as u64,
+                        next_node: v as u64,
+                        moved_in_pass: moved,
+                        iterations: meter.iterations() - 1,
+                        rng: rng_state,
+                    }));
                 }
+                return (labels, interrupt.status(), meter.iterations());
             }
-            block_start = block_end;
+            telemetry::record(|m| m.ls_nodes_visited.incr());
+            if let Some((best, gain)) = scorer.best_move(v, epsilon, &labels, &sizes) {
+                let cur = labels[v] as usize;
+                sizes[cur] -= 1;
+                let target = best.unwrap_or_else(|| {
+                    if sizes[cur] == 0 {
+                        // Moving a singleton to a fresh singleton is a
+                        // no-op; keep the label. (Unreachable because
+                        // the costs are equal, but kept for safety.)
+                        cur
+                    } else {
+                        sizes.push(0);
+                        sizes.len() - 1
+                    }
+                });
+                sizes[target] += 1;
+                labels[v] = target as u32;
+                scorer.moved(v, cur, target);
+                telemetry::record(|m| {
+                    m.ls_moves.incr();
+                    // The move's strict cost improvement; accumulated
+                    // serially (the descent visits nodes one at a
+                    // time), so the sum's rounding order is fixed and
+                    // the total is bit-reproducible.
+                    m.ls_improvement.add(gain);
+                    m.ls_delta_hist.observe(gain);
+                });
+                moved = true;
+            }
+            // Progress within the current pass; each pass restarts the
+            // cursor, so `done/total` reads as pass completion.
+            heartbeat.tick((v + 1) as u64);
+            if let Some(c) = ckpt.as_deref_mut() {
+                c.maybe_save(|| {
+                    AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
+                        labels: labels.clone(),
+                        pass: pass as u64,
+                        next_node: (v + 1) as u64,
+                        moved_in_pass: moved,
+                        iterations: meter.iterations(),
+                        rng: rng_state,
+                    })
+                });
+            }
         }
         // Completed passes only, so an interrupt-at-k + resume run counts
         // each pass exactly once — matching the uninterrupted run.
@@ -565,14 +533,6 @@ trait Scorer {
     /// Trace label of this scorer on the `local_search` span.
     const NAME: &'static str;
 
-    /// Nodes per block handed to [`Scorer::prefetch`].
-    fn block(&self) -> usize {
-        1
-    }
-
-    /// Called once per block, before its nodes are visited.
-    fn prefetch(&mut self, _nodes: Range<usize>) {}
-
     /// Evaluate every candidate move for `v` against the current labels.
     /// Returns the move to take — `None` for a fresh singleton, else the
     /// target cluster — and its cost improvement, or `None` when no
@@ -591,34 +551,16 @@ trait Scorer {
 }
 
 /// Scores a visit from the `n − 1` distances `X_vu` of a
-/// [`DistanceOracle`], prefetching row blocks in parallel on large
-/// instances.
+/// [`DistanceOracle`], read in ascending `u` order.
 struct OracleScorer<'a, O: ?Sized> {
     oracle: &'a O,
-    block: usize,
-    /// Distance rows of the current block (empty when not prefetching).
-    rows: Vec<f64>,
-    first: usize,
     m_sums: Vec<f64>,
 }
 
 impl<'a, O: DistanceOracle + Sync + ?Sized> OracleScorer<'a, O> {
     fn new(oracle: &'a O) -> Self {
-        let n = oracle.len();
-        let block = if n >= PREFETCH_MIN_N {
-            ROW_BLOCK.min(n)
-        } else {
-            1
-        };
         OracleScorer {
             oracle,
-            block,
-            rows: if block > 1 {
-                vec![0.0; block * n]
-            } else {
-                Vec::new()
-            },
-            first: 0,
             m_sums: Vec::new(),
         }
     }
@@ -627,27 +569,6 @@ impl<'a, O: DistanceOracle + Sync + ?Sized> OracleScorer<'a, O> {
 impl<O: DistanceOracle + Sync + ?Sized> Scorer for OracleScorer<'_, O> {
     const NAME: &'static str = "oracle";
 
-    fn block(&self) -> usize {
-        self.block
-    }
-
-    fn prefetch(&mut self, nodes: Range<usize>) {
-        if self.rows.is_empty() {
-            return;
-        }
-        // Prefetch the distance rows of the whole block in one parallel
-        // fill; distances never change, so the rows stay valid however the
-        // labels move.
-        let n = self.oracle.len();
-        let (oracle, first) = (self.oracle, nodes.start);
-        parallel::fill_slice(&mut self.rows[..nodes.len() * n], |i| {
-            oracle.dist(first + i / n, i % n)
-        });
-        self.first = first;
-    }
-
-    /// The cached row and the direct lookups accumulate in the same `u`
-    /// order, so both produce bit-identical decisions.
     fn best_move(
         &mut self,
         v: usize,
@@ -661,22 +582,11 @@ impl<O: DistanceOracle + Sync + ?Sized> Scorer for OracleScorer<'_, O> {
         m_sums.clear();
         m_sums.resize(k, 0.0);
         let mut t_v = 0.0;
-        if self.rows.is_empty() {
-            for u in 0..n {
-                if u != v {
-                    let x = self.oracle.dist(v, u);
-                    m_sums[labels[u] as usize] += x;
-                    t_v += x;
-                }
-            }
-        } else {
-            let xs = &self.rows[(v - self.first) * n..(v - self.first + 1) * n];
-            for u in 0..n {
-                if u != v {
-                    let x = xs[u];
-                    m_sums[labels[u] as usize] += x;
-                    t_v += x;
-                }
+        for u in 0..n {
+            if u != v {
+                let x = self.oracle.dist(v, u);
+                m_sums[labels[u] as usize] += x;
+                t_v += x;
             }
         }
         let cur = labels[v] as usize;
@@ -1076,7 +986,8 @@ mod tests {
         let full = local_search_budgeted(&oracle, params.clone(), &RunBudget::unlimited()).unwrap();
         assert_eq!(full.status, RunStatus::Converged);
 
-        let dir = std::env::temp_dir().join("aggclust_ls_resume_test");
+        let dir =
+            std::env::temp_dir().join(format!("aggclust_ls_resume_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         for cap in [1u64, 2, 5, 11, 23, 24, 25, 47, 90] {
@@ -1195,8 +1106,7 @@ mod tests {
     fn label_counts_match_the_dense_oracle_exactly() {
         // With m a power of two every `k/m` and every sum of them is exact
         // in f64, so the oracle path decides exactly too: both paths must
-        // make the same moves. n = 2100 crosses the oracle path's
-        // prefetch gate (2048).
+        // make the same moves, on small and large instances.
         for (n, ms) in [(120usize, &[1usize, 2, 4, 8][..]), (2100, &[2][..])] {
             for &m in ms {
                 let inputs = noisy_inputs(n, m, 7, (n * 31 + m) as u64);
@@ -1237,6 +1147,28 @@ mod tests {
                 });
                 assert_eq!(got, want, "n {n} m {m} refinement");
             }
+        }
+    }
+
+    #[test]
+    fn oracle_path_reads_each_other_node_once_per_visit() {
+        // A visit reads `X_vu` for every `u ≠ v` and never the diagonal,
+        // at any instance size (2000 and 2100 straddle 2048).
+        for n in [2000usize, 2100] {
+            let inputs = noisy_inputs(n, 2, 7, n as u64);
+            let oracle = DenseOracle::from_clusterings(&inputs);
+            let budget = RunBudget::unlimited();
+            let (outcome, counters) = telemetry::measure(|| {
+                local_search_from_resumable(&oracle, &inputs[0], 200, 1e-9, &budget, None, None)
+                    .unwrap()
+            });
+            assert!(outcome.status.is_converged(), "n {n}");
+            assert!(counters.ls_nodes_visited >= n as u64, "n {n}");
+            assert_eq!(
+                counters.oracle_dense_evals,
+                counters.ls_nodes_visited * (n as u64 - 1),
+                "n {n}"
+            );
         }
     }
 
@@ -1327,7 +1259,7 @@ mod tests {
         let inputs = noisy_inputs(400, 3, 6, 11);
         let reference = label_run(&inputs, LocalSearchParams::default());
         for threads in [1usize, 2, 4] {
-            let got = parallel::with_num_threads(threads, || {
+            let got = crate::parallel::with_num_threads(threads, || {
                 label_run(&inputs, LocalSearchParams::default())
             });
             assert_eq!(got, reference, "{threads} threads");

@@ -18,7 +18,7 @@
 use super::Algorithm;
 use crate::clustering::Clustering;
 use crate::error::AggResult;
-use crate::instance::DistanceOracle;
+use crate::instance::{DenseOracle, DistanceOracle};
 use crate::robust::{RunBudget, RunOutcome, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, SamplingSnapshot};
 use crate::telemetry;
@@ -97,9 +97,47 @@ pub struct SamplingDetails {
     pub recluster_time: Duration,
 }
 
+impl SamplingDetails {
+    /// `n` singletons, no sample and no time spent.
+    fn singletons(n: usize) -> Self {
+        SamplingDetails {
+            clustering: Clustering::singletons(n),
+            sample: Vec::new(),
+            sample_clusters: 0,
+            singletons_before_recluster: n,
+            cluster_time: Duration::ZERO,
+            assign_time: Duration::ZERO,
+            recluster_time: Duration::ZERO,
+        }
+    }
+}
+
 /// Run the SAMPLING algorithm, returning just the clustering.
 pub fn sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> Clustering {
     sampling_with_details(oracle, params).clustering
+}
+
+/// Run the SAMPLING algorithm with phase-level instrumentation (used by the
+/// Figure-5 experiments). The base algorithm runs through
+/// [`Algorithm::run`], unbudgeted.
+pub fn sampling_with_details<O: DistanceOracle + Sync>(
+    oracle: &O,
+    params: &SamplingParams,
+) -> SamplingDetails {
+    let unbudgeted = |base: &Algorithm, sub: &DenseOracle| Ok(RunOutcome::converged(base.run(sub)));
+    match run(
+        oracle,
+        params,
+        &RunBudget::unlimited(),
+        None,
+        None,
+        unbudgeted,
+    ) {
+        Ok((details, _, _)) => details,
+        // Unreachable: the unbudgeted runner never errors and an unlimited
+        // budget never trips.
+        Err(_) => SamplingDetails::singletons(oracle.len()),
+    }
 }
 
 /// Budgeted SAMPLING with anytime semantics. The base algorithm runs under
@@ -131,8 +169,29 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
     params: &SamplingParams,
     budget: &RunBudget,
     resume: Option<&SamplingSnapshot>,
-    mut ckpt: Option<&mut Checkpointer>,
+    ckpt: Option<&mut Checkpointer>,
 ) -> AggResult<RunOutcome> {
+    let budgeted = |base: &Algorithm, sub: &DenseOracle| base.run_budgeted(sub, budget);
+    let (details, status, iterations) = run(oracle, params, budget, resume, ckpt, budgeted)?;
+    Ok(RunOutcome {
+        clustering: details.clustering,
+        status,
+        iterations,
+    })
+}
+
+/// The one SAMPLING body behind [`sampling_with_details`] and
+/// [`sampling_resumable`]. `run_base` runs the base algorithm on a
+/// restricted instance (phases 2 and 3b); everything else — sampling,
+/// assignment, budget, checkpoints, counters and phase times — is shared.
+fn run<O: DistanceOracle + Sync>(
+    oracle: &O,
+    params: &SamplingParams,
+    budget: &RunBudget,
+    resume: Option<&SamplingSnapshot>,
+    mut ckpt: Option<&mut Checkpointer>,
+    run_base: impl Fn(&Algorithm, &DenseOracle) -> AggResult<RunOutcome>,
+) -> AggResult<(SamplingDetails, RunStatus, u64)> {
     let n = oracle.len();
     let _span = crate::span!(
         "sampling",
@@ -141,7 +200,7 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         resuming = resume.is_some()
     );
     if n == 0 {
-        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
+        return Ok((SamplingDetails::singletons(0), RunStatus::Converged, 0));
     }
     let resume = resume.filter(|snap| {
         snap.n as usize == n
@@ -160,6 +219,7 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
     let mut labels: Vec<u32>;
     let start_node: usize;
     let done: u64;
+    let t0 = Instant::now();
     if let Some(snap) = resume {
         // Phases 1–2 are fully captured by the snapshot: the sample, its
         // clustering, and every assignment made before the interrupt.
@@ -183,15 +243,13 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
             m.sampling_sampled.add(s as u64);
         });
 
-        // Phase 1: uniform sample without replacement (same RNG discipline
-        // as the unbudgeted path, so results match when nothing trips).
+        // Phase 1: uniform sample without replacement.
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut smp: Vec<usize> = index_sample(&mut rng, n, s).into_vec();
         smp.sort_unstable();
 
-        // Phase 2: aggregate the sample with the budgeted base algorithm.
-        let sub = oracle.restrict(&smp);
-        let base_outcome = params.base.run_budgeted(&sub, budget)?;
+        // Phase 2: aggregate the sample with the base algorithm.
+        let base_outcome = run_base(&params.base, &oracle.restrict(&smp))?;
         status = base_outcome.status;
         iterations = base_outcome.iterations;
         sample_labels = (0..smp.len())
@@ -205,7 +263,9 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         start_node = 0;
         done = 0;
     }
+    let cluster_time = t0.elapsed();
 
+    let t1 = Instant::now();
     let s = sample.len();
     let ell = sample_labels
         .iter()
@@ -272,6 +332,8 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
             m_sums[sample_labels[si] as usize] += x;
             t_sum += x;
         }
+        // cost(join C_i) = M_i + Σ_{j≠i}(|C_j| − M_j)
+        //               = 2·M_i − T + s − |C_i|;   cost(singleton) = s − T.
         let mut best = f64::INFINITY;
         let mut best_i = usize::MAX;
         for i in 0..ell {
@@ -305,163 +367,48 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
         }
     }
     iterations = iterations.saturating_add(meter.iterations());
-
-    // Phase 3b: re-aggregate the singletons, skipped when the budget
-    // already tripped.
-    if !tripped && params.recluster_singletons {
-        let mut sizes = vec![0usize; next_label as usize];
-        for &l in &labels {
-            sizes[l as usize] += 1;
-        }
-        let singleton_nodes: Vec<usize> =
-            (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
-        if singleton_nodes.len() >= 2 {
-            telemetry::record(|m| m.sampling_reclustered.add(singleton_nodes.len() as u64));
-            let sub = oracle.restrict(&singleton_nodes);
-            let re = params.base.run_budgeted(&sub, budget)?;
-            status = status.combine(re.status);
-            iterations = iterations.saturating_add(re.iterations);
-            for (i, &v) in singleton_nodes.iter().enumerate() {
-                labels[v] = next_label + re.clustering.label(i);
-            }
-        }
-    }
-
-    Ok(RunOutcome {
-        clustering: Clustering::from_labels(labels),
-        status,
-        iterations,
-    })
-}
-
-/// Run the SAMPLING algorithm with phase-level instrumentation (used by the
-/// Figure-5 experiments).
-pub fn sampling_with_details<O: DistanceOracle + Sync>(
-    oracle: &O,
-    params: &SamplingParams,
-) -> SamplingDetails {
-    let n = oracle.len();
-    let s = params.size.resolve(n);
-    let _span = crate::span!("sampling", n = n, base = params.base.name(), s = s);
-    if n == 0 {
-        return SamplingDetails {
-            clustering: Clustering::from_labels(Vec::new()),
-            sample: Vec::new(),
-            sample_clusters: 0,
-            singletons_before_recluster: 0,
-            cluster_time: Duration::ZERO,
-            assign_time: Duration::ZERO,
-            recluster_time: Duration::ZERO,
-        };
-    }
-
-    telemetry::record(|m| {
-        m.sampling_runs.incr();
-        m.sampling_sampled.add(s as u64);
-    });
-
-    // Phase 1: uniform sample without replacement.
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut sample: Vec<usize> = index_sample(&mut rng, n, s).into_vec();
-    sample.sort_unstable();
-
-    // Phase 2: aggregate the sample with the base algorithm.
-    let t0 = Instant::now();
-    let sub = oracle.restrict(&sample);
-    let sample_clustering = params.base.run(&sub);
-    let cluster_time = t0.elapsed();
-    let ell = sample_clustering.num_clusters();
-
-    // Cluster membership of the sample, as oracle-level node ids.
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); ell];
-    for (si, &v) in sample.iter().enumerate() {
-        clusters[sample_clustering.label(si) as usize].push(v);
-    }
-
-    // Phase 3: assign every non-sampled node to the cheapest sample cluster
-    // or to a fresh singleton.
-    let t1 = Instant::now();
-    let mut labels = vec![u32::MAX; n];
-    for (si, &v) in sample.iter().enumerate() {
-        labels[v] = sample_clustering.label(si);
-    }
-    let mut next_label = ell as u32;
-    let mut in_sample = vec![false; n];
-    for &v in &sample {
-        in_sample[v] = true;
-    }
-    let mut m_sums = vec![0.0f64; ell];
-    for v in 0..n {
-        if in_sample[v] {
-            continue;
-        }
-        m_sums.iter_mut().for_each(|x| *x = 0.0);
-        let mut t_sum = 0.0;
-        for (si, &u) in sample.iter().enumerate() {
-            let x = oracle.dist(v, u);
-            m_sums[sample_clustering.label(si) as usize] += x;
-            t_sum += x;
-        }
-        // cost(join C_i) = M_i + Σ_{j≠i}(|C_j| − M_j)
-        //               = 2·M_i − T + s − |C_i|;   cost(singleton) = s − T.
-        let mut best = f64::INFINITY;
-        let mut best_i = usize::MAX;
-        for i in 0..ell {
-            let c = 2.0 * m_sums[i] - t_sum + s as f64 - clusters[i].len() as f64;
-            if c < best {
-                best = c;
-                best_i = i;
-            }
-        }
-        let singleton_cost = s as f64 - t_sum;
-        if best_i == usize::MAX || singleton_cost < best {
-            labels[v] = next_label;
-            next_label += 1;
-        } else {
-            labels[v] = best_i as u32;
-        }
-        telemetry::record(|m| m.sampling_assigned.incr());
-    }
     let assign_time = t1.elapsed();
 
-    // Count cluster sizes to find singletons (both freshly-assigned ones and
-    // sample clusters of size one that attracted nobody).
+    // Singletons after assignment: fresh ones and sample clusters of size
+    // one that attracted nobody.
     let mut sizes = vec![0usize; next_label as usize];
     for &l in &labels {
         sizes[l as usize] += 1;
     }
     let singleton_nodes: Vec<usize> = (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
-    let singletons_before = singleton_nodes.len();
 
     // Phase 3b: re-aggregate the singletons among themselves (paper: "we
     // collect all singleton clusters and run the clustering aggregation
-    // again on this subset of nodes").
+    // again on this subset of nodes"), skipped when the budget already
+    // tripped.
     let t2 = Instant::now();
-    if params.recluster_singletons && singleton_nodes.len() >= 2 {
+    if !tripped && params.recluster_singletons && singleton_nodes.len() >= 2 {
         telemetry::record(|m| m.sampling_reclustered.add(singleton_nodes.len() as u64));
-        let sub = oracle.restrict(&singleton_nodes);
-        let re = params.base.run(&sub);
+        let re = run_base(&params.base, &oracle.restrict(&singleton_nodes))?;
+        status = status.combine(re.status);
+        iterations = iterations.saturating_add(re.iterations);
         for (i, &v) in singleton_nodes.iter().enumerate() {
-            labels[v] = next_label + re.label(i);
+            labels[v] = next_label + re.clustering.label(i);
         }
     }
     let recluster_time = t2.elapsed();
 
-    SamplingDetails {
+    let details = SamplingDetails {
         clustering: Clustering::from_labels(labels),
         sample,
         sample_clusters: ell,
-        singletons_before_recluster: singletons_before,
+        singletons_before_recluster: singleton_nodes.len(),
         cluster_time,
         assign_time,
         recluster_time,
-    }
+    };
+    Ok((details, status, iterations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{AgglomerativeParams, BallsParams};
+    use crate::algorithms::{AgglomerativeParams, AnnealingParams, BallsParams};
     use crate::cost::correlation_cost;
     use crate::instance::{ClusteringsOracle, DenseOracle};
 
@@ -528,6 +475,21 @@ mod tests {
         let via_sampling = sampling(&oracle, &params);
         let direct = base.run(&oracle);
         assert_eq!(via_sampling, direct);
+    }
+
+    #[test]
+    fn full_sample_keeps_the_unbudgeted_annealing_base() {
+        // The unbudgeted entry runs the base through `Algorithm::run`, so a
+        // full sample reproduces the plain annealing run exactly.
+        let (_, oracle) = blocks_instance();
+        let base = Algorithm::Annealing(AnnealingParams::default());
+        let params = SamplingParams {
+            size: SampleSize::Absolute(60),
+            base: base.clone(),
+            seed: 7,
+            recluster_singletons: true,
+        };
+        assert_eq!(sampling(&oracle, &params), base.run(&oracle));
     }
 
     #[test]
@@ -619,7 +581,10 @@ mod tests {
         );
         let full = sampling(&oracle, &params);
 
-        let dir = std::env::temp_dir().join("aggclust_sampling_resume_test");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_sampling_resume_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         // Caps past phase 2's convergence (19 merges on the sample of 20)

@@ -12,9 +12,10 @@
 //!     Clustering::from_labels(vec![0, 1, 0, 1, 2, 3]),
 //!     Clustering::from_labels(vec![0, 1, 0, 1, 2, 2]),
 //! ];
-//! let result = ConsensusBuilder::new().aggregate(&inputs);
+//! let result = ConsensusBuilder::new().try_aggregate(&inputs)?;
 //! assert_eq!(result.clustering.num_clusters(), 3);
 //! assert_eq!(result.disagreements, 5);
+//! # Ok::<(), aggclust_core::AggError>(())
 //! ```
 //!
 //! Defaults follow the paper's practice: AGGLOMERATIVE (parameter-free,
@@ -24,19 +25,16 @@
 //! stops being reasonable.
 
 use crate::algorithms::local_search::{
-    local_search_from, local_search_from_resumable, local_search_labels_from_resumable,
-    local_search_labels_resumable,
+    local_search_from_resumable, local_search_labels_from_resumable, local_search_labels_resumable,
 };
-use crate::algorithms::sampling::{sampling, sampling_resumable, SamplingParams};
+use crate::algorithms::sampling::{sampling_resumable, SamplingParams};
 use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use crate::clustering::{Clustering, PartialClustering};
 use crate::cost::{correlation_cost, lower_bound, lower_bound_units};
-use crate::distance::{disagreement_distance_gauged, total_disagreement};
+use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
-use crate::instance::{
-    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy,
-};
+use crate::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use crate::kernels::LabelMatrix;
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
@@ -187,9 +185,8 @@ pub struct ConsensusResult {
     pub lower_bound: Option<f64>,
     /// Whether the SAMPLING path was taken.
     pub sampled: bool,
-    /// How the run ended. Always `Converged` on the panicking API; the
-    /// budgeted [`ConsensusBuilder::try_aggregate`] path reports
-    /// `BudgetExceeded`/`Cancelled` when the result is best-so-far.
+    /// How the run ended: `Converged`, or `BudgetExceeded`/`Cancelled`
+    /// when the configured budget tripped and the result is best-so-far.
     pub status: RunStatus,
     /// Graceful-degradation steps taken (exact solver skipped, refinement
     /// interrupted, …), as typed [`Warning`] values whose `Display` gives
@@ -275,9 +272,8 @@ impl ConsensusBuilder {
         self
     }
 
-    /// Run budget (deadline / iteration cap / cancel token) honored by the
-    /// budgeted [`ConsensusBuilder::try_aggregate`] entry points. The
-    /// panicking `aggregate` API always runs unlimited. Default: unlimited.
+    /// Run budget (deadline / iteration cap / cancel token / memory cap),
+    /// honored with anytime semantics. Default: unlimited.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
         self
@@ -285,8 +281,7 @@ impl ConsensusBuilder {
 
     /// Prefer an exact branch-and-bound solve when the instance is small
     /// enough (`n <= 24`); above that the builder degrades to the BALLS
-    /// 3-approximation with a warning instead of erroring. Only honored by
-    /// the budgeted `try_aggregate` entry points. Default: off.
+    /// 3-approximation with a warning instead of erroring. Default: off.
     pub fn prefer_exact(mut self, prefer_exact: bool) -> Self {
         self.prefer_exact = prefer_exact;
         self
@@ -295,10 +290,9 @@ impl ConsensusBuilder {
     /// Periodically persist in-flight algorithm state to `path` (atomic,
     /// checksummed writes — see [`crate::snapshot`]), no more often than
     /// `every`, plus a final save whenever the budget or cancel token trips
-    /// mid-run. Only honored by the budgeted `try_aggregate` entry points,
-    /// and only by the long-running stages (AGGLOMERATIVE merging,
-    /// LOCALSEARCH passes, SAMPLING assignment); checkpoint failures are
-    /// recorded, never fatal. Default: off.
+    /// mid-run. Only the long-running stages checkpoint (AGGLOMERATIVE
+    /// merging, LOCALSEARCH passes, SAMPLING assignment); checkpoint
+    /// failures are recorded, never fatal. Default: off.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: Duration) -> Self {
         self.checkpoint_path = Some(path.into());
         self.checkpoint_every = every;
@@ -309,7 +303,6 @@ impl ConsensusBuilder {
     /// [`crate::snapshot::load_snapshot`]. A snapshot that does not match
     /// this run's instance or configuration is silently ignored (the run
     /// starts fresh); load-time corruption is the *caller's* signal to warn.
-    /// Only honored by the budgeted `try_aggregate` entry points.
     pub fn resume_from(mut self, snapshot: Snapshot) -> Self {
         self.resume_from = Some(snapshot);
         self
@@ -317,81 +310,30 @@ impl ConsensusBuilder {
 
     /// Aggregate total clusterings.
     ///
-    /// # Panics
-    /// Panics if `inputs` is empty or the clusterings disagree on `n`.
-    pub fn aggregate(&self, inputs: &[Clustering]) -> ConsensusResult {
-        let partial: Vec<PartialClustering> =
-            inputs.iter().map(PartialClustering::from_total).collect();
-        let mut result = self.aggregate_partial(partial);
-        // Exact integer disagreement count for total inputs.
-        result.disagreements = total_disagreement(inputs, &result.clustering);
-        result
-    }
-
-    /// Aggregate partial clusterings (missing labels allowed).
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty or the clusterings disagree on `n`.
-    pub fn aggregate_partial(&self, inputs: Vec<PartialClustering>) -> ConsensusResult {
-        assert!(!inputs.is_empty(), "need at least one input clustering");
-        let m = inputs.len();
-        let n = inputs[0].len();
-        let _span = crate::span!(
-            "consensus",
-            n = n,
-            m = m,
-            algorithm = self.algorithm.name(),
-            refine = self.refine
-        );
-        let oracle = ClusteringsOracle::new(inputs.clone(), self.missing_policy);
-
-        if n > self.sampling_threshold {
-            let params = SamplingParams::new(self.sample_size, self.algorithm.clone(), self.seed);
-            let clustering = sampling(&oracle, &params);
-            // d(C) over all pairs would be O(n²); report the objective the
-            // caller can evaluate later if needed.
-            return ConsensusResult {
-                cost: f64::NAN,
-                disagreements: 0,
-                lower_bound: None,
-                sampled: true,
-                status: RunStatus::Converged,
-                warnings: Vec::new(),
-                clustering,
-            };
-        }
-
-        let instance = CorrelationInstance::from_partial(inputs, self.missing_policy);
-        let dense = instance.dense_oracle();
-        let mut clustering = self.algorithm.run(&dense);
-        if self.refine {
-            clustering = local_search_from(&dense, &clustering, 200, 1e-9);
-        }
-        let cost = correlation_cost(&dense, &clustering);
-        ConsensusResult {
-            disagreements: (cost * m as f64).round() as u64,
-            lower_bound: Some(lower_bound(&dense)),
-            sampled: false,
-            status: RunStatus::Converged,
-            warnings: Vec::new(),
-            cost,
-            clustering,
-        }
-    }
-
-    /// Fallible, budget-aware variant of [`ConsensusBuilder::aggregate`].
-    ///
     /// Invalid input (empty set, mismatched object counts) comes back as a
-    /// typed [`crate::AggError`] instead of a panic, and the configured
+    /// typed [`crate::AggError`], and the configured
     /// [`RunBudget`] is honored with anytime semantics: a budget trip yields
     /// the best consensus found so far, tagged via `status` and explained in
     /// `warnings`.
+    ///
+    /// ```
+    /// use aggclust_core::clustering::Clustering;
+    /// use aggclust_core::consensus::ConsensusBuilder;
+    ///
+    /// let a = Clustering::from_labels(vec![0, 0, 1, 1]);
+    /// let b = Clustering::from_labels(vec![0, 0, 1, 1]);
+    /// let c = Clustering::from_labels(vec![0, 1, 1, 1]);
+    /// let result = ConsensusBuilder::new().try_aggregate(&[a.clone(), b, c])?;
+    /// assert_eq!(result.clustering, a); // the 2-of-3 majority wins
+    /// # Ok::<(), aggclust_core::AggError>(())
+    /// ```
     pub fn try_aggregate(&self, inputs: &[Clustering]) -> AggResult<ConsensusResult> {
         // Total inputs already get the exact integer `D(C)`.
         self.try_aggregate_partial(inputs.iter().map(PartialClustering::from_total).collect())
     }
 
-    /// Fallible, budget-aware variant of [`ConsensusBuilder::aggregate_partial`].
+    /// Aggregate partial clusterings (missing labels allowed); see
+    /// [`ConsensusBuilder::try_aggregate`] for errors and budgets.
     ///
     /// When every input labels every object, LOCALSEARCH (as the main
     /// algorithm or as refinement), the cost and the lower bound run on
@@ -796,20 +738,6 @@ fn largest_sample_within(bytes: u64) -> usize {
     usize::try_from(s).unwrap_or(usize::MAX)
 }
 
-/// One-call consensus with the default pipeline.
-///
-/// ```
-/// use aggclust_core::clustering::Clustering;
-/// let a = Clustering::from_labels(vec![0, 0, 1, 1]);
-/// let b = Clustering::from_labels(vec![0, 0, 1, 1]);
-/// let c = Clustering::from_labels(vec![0, 1, 1, 1]);
-/// let result = aggclust_core::consensus::aggregate(&[a.clone(), b, c]);
-/// assert_eq!(result.clustering, a); // the 2-of-3 majority wins
-/// ```
-pub fn aggregate(inputs: &[Clustering]) -> ConsensusResult {
-    ConsensusBuilder::new().aggregate(inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,19 +757,24 @@ mod tests {
 
     #[test]
     fn default_pipeline_solves_figure1() {
-        let result = aggregate(&figure1());
+        let result = ConsensusBuilder::new().try_aggregate(&figure1()).unwrap();
         assert_eq!(result.clustering, c(&[0, 1, 0, 1, 2, 2]));
         assert_eq!(result.disagreements, 5);
         assert!((result.cost - 5.0 / 3.0).abs() < 1e-9);
         assert!(result.lower_bound.unwrap() <= result.cost + 1e-12);
         assert!(!result.sampled);
+        assert!(result.status.is_converged());
+        assert!(result.warnings.is_empty());
     }
 
     #[test]
     fn refinement_can_be_disabled() {
         let inputs = figure1();
-        let with = ConsensusBuilder::new().aggregate(&inputs);
-        let without = ConsensusBuilder::new().refine(false).aggregate(&inputs);
+        let with = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
+        let without = ConsensusBuilder::new()
+            .refine(false)
+            .try_aggregate(&inputs)
+            .unwrap();
         assert!(with.cost <= without.cost + 1e-12);
     }
 
@@ -849,7 +782,8 @@ mod tests {
     fn custom_algorithm() {
         let result = ConsensusBuilder::new()
             .algorithm(Algorithm::Balls(BallsParams::practical()))
-            .aggregate(&figure1());
+            .try_aggregate(&figure1())
+            .unwrap();
         assert_eq!(result.clustering, c(&[0, 1, 0, 1, 2, 2]));
     }
 
@@ -861,7 +795,8 @@ mod tests {
         let result = ConsensusBuilder::new()
             .sampling_threshold(30)
             .sample_size(25)
-            .aggregate(&inputs);
+            .try_aggregate(&inputs)
+            .unwrap();
         assert!(result.sampled);
         assert!(result.lower_bound.is_none());
         assert_eq!(result.clustering, c(&truth));
@@ -871,26 +806,23 @@ mod tests {
     fn partial_inputs_are_accepted() {
         let p1 = PartialClustering::from_labels(vec![Some(0), Some(0), Some(1), None]);
         let p2 = PartialClustering::from_labels(vec![Some(0), Some(0), None, Some(1)]);
-        let result = ConsensusBuilder::new().aggregate_partial(vec![p1, p2]);
+        let result = ConsensusBuilder::new()
+            .try_aggregate_partial(vec![p1, p2])
+            .unwrap();
         assert!(result.clustering.same_cluster(0, 1));
         assert!(!result.sampled);
     }
 
     #[test]
-    #[should_panic(expected = "at least one input")]
     fn empty_inputs_rejected() {
-        let _ = aggregate(&[]);
-    }
-
-    #[test]
-    fn try_aggregate_matches_aggregate_when_unlimited() {
-        let inputs = figure1();
-        let plain = ConsensusBuilder::new().aggregate(&inputs);
-        let tried = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
-        assert_eq!(tried.clustering, plain.clustering);
-        assert_eq!(tried.disagreements, plain.disagreements);
-        assert!(tried.status.is_converged());
-        assert!(tried.warnings.is_empty());
+        let empty = ConsensusBuilder::new().try_aggregate_partial(Vec::new());
+        assert!(matches!(empty, Err(crate::AggError::Degenerate { .. })));
+        let mismatched = vec![
+            PartialClustering::from_labels(vec![Some(0), None, Some(1)]),
+            PartialClustering::from_labels(vec![Some(0), Some(1)]),
+        ];
+        let err = ConsensusBuilder::new().try_aggregate_partial(mismatched);
+        assert!(matches!(err, Err(crate::AggError::InvalidInstance { .. })));
     }
 
     #[test]
@@ -1079,7 +1011,10 @@ mod tests {
 
         let reference = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
 
-        let dir = std::env::temp_dir().join("aggclust_consensus_resume_test");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_consensus_resume_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         // Interrupt at a range of iteration caps, resume unlimited; the

@@ -96,7 +96,7 @@ pub mod obs {
 }
 
 pub use clustering::{Clustering, PartialClustering};
-pub use consensus::{aggregate, ConsensusBuilder, ConsensusResult, Warning};
+pub use consensus::{ConsensusBuilder, ConsensusResult, Warning};
 pub use error::{AggError, AggResult};
 pub use failpoint::{ArmedGuard, Fault, FaultPlan};
 pub use instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};

@@ -21,13 +21,6 @@ use crate::robust::{MemCharge, RunBudget, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
 use crate::telemetry;
 
-/// Minimum matrix size before the nearest-neighbor lookups inside the
-/// chain loop are chunked across worker threads; the per-step scan is
-/// `O(n)`, so small instances are faster serial. The threshold cannot
-/// change the dendrogram — the parallel arg-min reproduces the serial
-/// strict-`<` scan exactly, earliest index on ties.
-const NN_PAR_MIN: usize = 32_768;
-
 /// Linkage criterion, expressed through Lance–Williams update coefficients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LinkageMethod {
@@ -92,26 +85,12 @@ impl CondensedMatrix {
     /// Copy the distances out of any [`DistanceOracle`] (in parallel),
     /// walking pairs in cache-blocked column bands so packed lazy oracles
     /// ([`crate::instance::ClusteringsOracle`]) stream their label rows
-    /// cache-resident. Same matrix as a row-major fill.
-    pub fn from_oracle<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Self {
-        CondensedMatrix {
-            n: oracle.len(),
-            data: parallel::fill_condensed(
-                oracle.len(),
-                oracle.preferred_band(),
-                || (),
-                parallel::pairwise(|u, v| oracle.dist(u, v)),
-            ),
-            charge: None,
-        }
-    }
-
-    /// Budgeted [`CondensedMatrix::from_oracle`]: the `n(n−1)/2 × 8`-byte
-    /// allocation is first reserved against the budget's memory cap —
-    /// [`crate::robust::Interrupt::MemoryExceeded`] if it does not fit —
-    /// and the parallel fill then polls the budget between row chunks and
-    /// aborts early on a trip, since a half-filled matrix is useless. The
-    /// matrix holds its memory charge for as long as it lives.
+    /// cache-resident; same matrix as a row-major fill. The
+    /// `n(n−1)/2 × 8`-byte allocation is first reserved against the
+    /// budget's memory cap — [`crate::robust::Interrupt::MemoryExceeded`]
+    /// if it does not fit — and the fill then polls the budget between row
+    /// chunks and aborts early on a trip, since a half-filled matrix is
+    /// useless. The matrix holds its memory charge for as long as it lives.
     pub fn try_from_oracle<O: DistanceOracle + Sync + ?Sized>(
         oracle: &O,
         budget: &RunBudget,
@@ -134,8 +113,8 @@ impl CondensedMatrix {
     }
 
     /// Bytes this matrix holds against a budget's
-    /// [`crate::robust::MemGauge`], when built through the governed
-    /// [`CondensedMatrix::try_from_oracle`] path.
+    /// [`crate::robust::MemGauge`], when built by
+    /// [`CondensedMatrix::try_from_oracle`].
     pub fn mem_charge_bytes(&self) -> Option<u64> {
         self.charge.as_ref().map(|c| c.bytes())
     }
@@ -523,27 +502,12 @@ pub fn linkage_resumable(
                 best = usize::MAX;
                 best_d = f64::INFINITY;
             }
-            if n >= NN_PAR_MIN {
-                // Chunked arg-min: earliest active index with the strictly
-                // smallest distance — exactly what the serial scan below
-                // finds. An equal-distance hit never displaces the chain
-                // predecessor (strict `<` against its distance).
-                let active = &active;
-                let dist = &dist;
-                if let Some((z, d)) =
-                    parallel::arg_min_by(n, |z| (z != x && active[z]).then(|| dist.get(x, z)))
-                {
-                    if d < best_d {
-                        best_d = d;
-                        best = z;
-                    }
-                }
-            } else {
-                for (z, &is_active) in active.iter().enumerate() {
-                    if z != x && is_active && dist.get(x, z) < best_d {
-                        best_d = dist.get(x, z);
-                        best = z;
-                    }
+            // Earliest active index with the strictly smallest distance;
+            // an equal-distance hit never displaces the chain predecessor.
+            for (z, &is_active) in active.iter().enumerate() {
+                if z != x && is_active && dist.get(x, z) < best_d {
+                    best_d = dist.get(x, z);
+                    best = z;
                 }
             }
             debug_assert!(best != usize::MAX);
@@ -611,6 +575,20 @@ mod tests {
         assert!(c.same_cluster(0, 1) && c.same_cluster(1, 2));
         assert!(c.same_cluster(3, 4));
         assert!(!c.same_cluster(0, 3));
+    }
+
+    #[test]
+    fn nearest_neighbour_scan_takes_earliest_index_on_ties() {
+        // All distances equal: every scan ties, so the chain always grows to
+        // the earliest active index and each merge folds the next node into
+        // the cluster that owns slot 0.
+        let dend = linkage(
+            CondensedMatrix::from_fn(4, |_, _| 1.0),
+            LinkageMethod::Average,
+        );
+        let pairs: Vec<(usize, usize)> = dend.merges().iter().map(|m| (m.a, m.b)).collect();
+        assert_eq!(pairs, vec![(1, 0), (2, 4), (3, 5)]);
+        assert!(dend.merges().iter().all(|m| m.height == 1.0));
     }
 
     #[test]
@@ -815,7 +793,10 @@ mod tests {
         let pts = [0.0, 0.9, 2.0, 5.5, 6.0, 9.0, 12.5, 13.0];
         let full = linkage(line_matrix(&pts), LinkageMethod::Average);
 
-        let dir = std::env::temp_dir().join("aggclust_linkage_resume_test");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_linkage_resume_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         for cap in 1..pts.len() as u64 - 1 {
             let path = dir.join(format!("ckpt_{cap}.bin"));

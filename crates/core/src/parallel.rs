@@ -1,8 +1,8 @@
 //! Deterministic data-parallel execution layer.
 //!
-//! Every `O(n²)` kernel in this crate — oracle materialization, the cost
-//! functions, and the per-node scans inside BALLS, FURTHEST, AGGLOMERATIVE
-//! and LOCALSEARCH — funnels through the primitives in this module. The
+//! Every parallel `O(n²)` kernel in this crate — oracle and condensed-matrix
+//! materialization, the cost functions, and the per-node scans inside BALLS
+//! and FURTHEST — funnels through the primitives in this module. The
 //! design goal is *bit-identical results at any thread count*, so the
 //! parallel feature can never change what an algorithm returns:
 //!
@@ -10,7 +10,7 @@
 //!   problem size**, never on the number of worker threads.
 //! * Floating-point reductions compute one partial per chunk (each partial
 //!   accumulated in ascending index order) and combine the partials
-//!   **sequentially in chunk order**. Arg-min/arg-max combines keep the
+//!   **sequentially in chunk order**. The arg-max combine keeps the
 //!   earliest-index winner on ties, matching a serial strict-comparison
 //!   scan.
 //! * The serial fallback (`--no-default-features`) executes the *same*
@@ -463,40 +463,6 @@ where
     best
 }
 
-/// The index minimizing `key(i)` over `i in 0..len`, skipping indices where
-/// `key` returns `None`; earliest index on ties — exactly the result of a
-/// serial strict-`<` scan.
-pub fn arg_min_by<F>(len: usize, key: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64> + Sync,
-{
-    if len == 0 {
-        return None;
-    }
-    let cs = chunk_size(len);
-    let n_chunks = len.div_ceil(cs);
-    let mut partials: Vec<Option<(usize, f64)>> = vec![None; n_chunks];
-    let jobs: Vec<(usize, &mut Option<(usize, f64)>)> = partials.iter_mut().enumerate().collect();
-    run_jobs(jobs, |(ci, slot)| {
-        let mut best: Option<(usize, f64)> = None;
-        for i in ci * cs..((ci + 1) * cs).min(len) {
-            if let Some(k) = key(i) {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        *slot = best;
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for candidate in partials.into_iter().flatten() {
-        if best.is_none_or(|(_, bk)| candidate.1 < bk) {
-            best = Some(candidate);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,29 +504,6 @@ mod tests {
         };
         assert_eq!(max_pair(5000, f), Some((target.0, target.1, 2.0)));
         assert_eq!(max_pair(1, |_, _| 1.0), None);
-    }
-
-    #[test]
-    fn arg_min_skips_filtered_and_takes_earliest() {
-        let key = |i: usize| {
-            if i.is_multiple_of(2) {
-                None
-            } else {
-                Some(((i * 7) % 13) as f64)
-            }
-        };
-        // Serial reference.
-        let mut expected: Option<(usize, f64)> = None;
-        for i in 0..50_000 {
-            if let Some(k) = key(i) {
-                if expected.is_none_or(|(_, bk)| k < bk) {
-                    expected = Some((i, k));
-                }
-            }
-        }
-        assert_eq!(with_num_threads(4, || arg_min_by(50_000, key)), expected);
-        assert_eq!(arg_min_by(10, |_| None), None);
-        assert_eq!(arg_min_by(0, |_| Some(0.0)), None);
     }
 
     #[test]

@@ -951,7 +951,8 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("aggclust_snapshot_test_rt");
+        let dir =
+            std::env::temp_dir().join(format!("aggclust_snapshot_test_rt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         let snap = sampling_snapshot();
@@ -962,7 +963,10 @@ mod tests {
 
     #[test]
     fn missing_and_corrupt_files_load_gracefully() {
-        let dir = std::env::temp_dir().join("aggclust_snapshot_test_corrupt");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_snapshot_test_corrupt_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let missing = dir.join("nope.bin");
         assert_eq!(load_snapshot(&missing), SnapshotLoad::Missing);
@@ -974,7 +978,10 @@ mod tests {
 
     #[test]
     fn checkpointer_respects_cadence_and_counts_saves() {
-        let dir = std::env::temp_dir().join("aggclust_snapshot_test_cadence");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_snapshot_test_cadence_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         let mut ckpt = Checkpointer::new(&path, Duration::from_secs(3600));
@@ -1000,7 +1007,10 @@ mod tests {
 
     #[test]
     fn mock_clock_drives_the_cadence_without_sleeping() {
-        let dir = std::env::temp_dir().join("aggclust_snapshot_test_mock_clock");
+        let dir = std::env::temp_dir().join(format!(
+            "aggclust_snapshot_test_mock_clock_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt.bin");
         let clock = Clock::mock();

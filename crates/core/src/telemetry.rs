@@ -2007,6 +2007,18 @@ mod tests {
         assert_eq!(cadence.every(), Duration::from_millis(10));
     }
 
+    /// The `progress` records of heartbeat phase `phase`. Algorithm tests
+    /// in this binary run heartbeats of their own, which land in whatever
+    /// collector is installed at the time.
+    fn progress_records(collector: &MemoryCollector, phase: &str) -> Vec<String> {
+        let tag = format!(" progress [phase={phase} ");
+        collector
+            .records()
+            .into_iter()
+            .filter(|r| r.contains(&tag))
+            .collect()
+    }
+
     #[test]
     fn heartbeat_emits_rate_limited_progress_events() {
         let _guard = global_state_lock();
@@ -2022,11 +2034,7 @@ mod tests {
         clock.advance(Duration::from_millis(10));
         hb.tick(50); // due again
         clear_collector();
-        let progress: Vec<String> = collector
-            .records()
-            .into_iter()
-            .filter(|r| r.contains("progress"))
-            .collect();
+        let progress = progress_records(&collector, "test_phase");
         assert_eq!(progress.len(), 2, "got {progress:?}");
         assert!(progress[0].contains("phase=test_phase"));
         assert!(progress[0].contains("done=25"));
@@ -2035,7 +2043,7 @@ mod tests {
         // Without a collector a tick is inert regardless of cadence.
         clock.advance(Duration::from_secs(1));
         hb.tick(99);
-        assert_eq!(collector.records().len(), progress.len());
+        assert_eq!(progress_records(&collector, "test_phase"), progress);
     }
 
     #[test]
@@ -2052,12 +2060,9 @@ mod tests {
         clock.advance(Duration::from_millis(500));
         hb.tick(5);
         clear_collector();
-        let records = collector.records();
-        let line = records
-            .iter()
-            .find(|r| r.contains("progress"))
-            .cloned()
-            .unwrap_or_default();
+        let records = progress_records(&collector, "budgeted");
+        assert_eq!(records.len(), 1, "got {records:?}");
+        let line = &records[0];
         assert!(
             line.contains("deadline_remaining_ms=1500"),
             "missing deadline field: {line}"

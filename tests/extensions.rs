@@ -19,7 +19,8 @@ fn consensus_builder_on_votes_preset() {
     let inputs = attribute_clusterings(&dataset);
     let result = ConsensusBuilder::new()
         .missing_policy(MissingPolicy::Coin(0.5))
-        .aggregate_partial(inputs);
+        .try_aggregate_partial(inputs)
+        .unwrap();
     assert!(!result.sampled);
     assert!(result.clustering.num_clusters() <= 4);
     let ec = classification_error(&result.clustering, dataset.class_labels());
