@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Perf-regression gate (ISSUE 9):
+# Perf-regression gate:
 #
 #   1. Run the pinned workload — n = 5000 planted 9-block input,
-#      LOCALSEARCH, --threads 1, --seed 0, AGGCLUST_SIMD=swar — and diff
+#      LOCALSEARCH, --threads 1, --seed 0 — and diff
 #      its run report against the committed baseline with aggclust-trace.
 #      Deterministic work counters are gated exactly (any drift means the
 #      algorithm did different work); span self-time *shares* are gated
@@ -15,8 +15,9 @@
 #      workload's JSONL trace must emit well-formed folded-stack lines
 #      including the local_search span.
 #
-# The pinned tier + thread count make the gated counters machine-
-# independent, so the committed baseline stays valid on any host.
+# The pinned thread count and the tier-independent band width make the
+# gated counters machine-independent, so the committed baseline stays
+# valid on any host.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,13 +53,13 @@ awk -v n=5000 'BEGIN {
 GATED_COUNTERS=oracle_dense_evals,oracle_packed_evals,oracle_lazy_evals,ls_passes,ls_nodes_visited,ls_moves,kernels_row_batches,mem_high_water_bytes
 
 run_workload() {
-    AGGCLUST_SIMD=swar "$BIN" aggregate --input "$WORK/in5000.csv" \
+    "$BIN" aggregate --input "$WORK/in5000.csv" \
         --algorithm local-search --no-refine --threads 1 --seed 0 \
         --metrics-out "$1" --output /dev/null --log-level error \
         ${2:+--trace-out "$2"}
 }
 
-echo "== pinned workload: n=5000 local-search, threads=1, swar tier =="
+echo "== pinned workload: n=5000 local-search, threads=1 =="
 run_workload "$WORK/current.json" "$WORK/trace.jsonl"
 
 echo "== gate: current vs committed baseline =="

@@ -348,8 +348,9 @@ impl ConsensusBuilder {
     ///    oracle (same answer, no quadratic memory) — except AGGLOMERATIVE,
     ///    which needs its own matrix and instead degrades to SAMPLING with
     ///    the sample clamped to fit the cap. Each step leaves a warning.
-    ///    The lazy oracle answers through the packed SWAR rows of
-    ///    [`crate::kernels::LabelMatrix`] (`O(n·m/4)` words, bit-identical
+    ///    The lazy oracle answers through the packed rows of
+    ///    [`crate::kernels::LabelMatrix`] on the host's dispatched kernel
+    ///    tier (`O(n·m/4)` words, bit-identical
     ///    to the dense values), so this fallback trades build time, not
     ///    per-distance cost.
     /// 3. Dense matrix build trips the time budget → singleton clustering

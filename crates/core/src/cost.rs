@@ -272,4 +272,31 @@ mod tests {
         let figure1_bound = lower_bound(&DenseOracle::from_clusterings(&figure1()));
         assert!((figure1_units as f64 / 3.0 - figure1_bound).abs() < 1e-12);
     }
+
+    #[test]
+    fn work_counters_do_not_depend_on_the_tier() {
+        // The band width, and with it the number of row batches a banded
+        // pass runs, is the same on every tier, so counter baselines
+        // recorded on one host hold on any other. n spans several bands.
+        use crate::kernels::dispatch::{best_available, with_forced_tier, Tier};
+        let mut state = 11u64;
+        let inputs: Vec<Clustering> = (0..3)
+            .map(|_| {
+                let labels = (0..1500)
+                    .map(|_| (crate::test_support::splitmix64(&mut state) % 9) as u32)
+                    .collect();
+                Clustering::from_labels(labels)
+            })
+            .collect();
+        let run = |tier: Tier| {
+            let labels = with_forced_tier(tier, || LabelMatrix::from_total(&inputs));
+            crate::telemetry::measure(|| lower_bound_units(&labels))
+        };
+        let (swar_units, swar) = run(Tier::Swar);
+        let (best_units, best) = run(best_available());
+        assert_eq!(best_units, swar_units);
+        assert!(swar.kernels_row_batches > 0);
+        assert_eq!(best.kernels_row_batches, swar.kernels_row_batches);
+        assert_eq!(best.oracle_packed_evals, swar.oracle_packed_evals);
+    }
 }

@@ -111,7 +111,7 @@ pub trait DistanceOracle {
 
     /// Materialize into a [`DenseOracle`] (no-op cost model for algorithms
     /// that touch all pairs anyway). Pairs are evaluated in parallel when
-    /// the `parallel` feature is enabled.
+    /// more than one thread is available.
     fn to_dense(&self) -> DenseOracle
     where
         Self: Sized + Sync,
@@ -296,8 +296,8 @@ impl DenseOracle {
     /// The distance is computed in its canonical grouped form
     /// `Σ_g w_g · sep_g / Σ w` over equal-weight groups in
     /// first-appearance order ([`kernels::weight_groups`]): groups of at
-    /// least [`kernels::MIN_PACKED_GROUP`] clusterings become packed SWAR
-    /// blocks, smaller groups stay on a scalar tail (counted by the
+    /// least [`kernels::MIN_PACKED_GROUP`] clusterings become packed
+    /// [`LabelMatrix`] blocks, smaller groups stay on a scalar tail (counted by the
     /// `kernels_fallback_scalar` metric).
     ///
     /// # Panics
@@ -471,7 +471,7 @@ impl DistanceOracle for DenseOracle {
 ///
 /// Lookup is `O(m)`; memory is `O(nm)` — suitable for the SAMPLING
 /// algorithm on large datasets where only a sparse set of pairs is ever
-/// queried. Lookups are served by the packed SWAR kernels
+/// queried. Lookups are served by the packed kernels
 /// ([`crate::kernels`]): construction transposes the inputs into a
 /// [`LabelMatrix`] once, and each `dist` call XOR-scans two label rows
 /// instead of chasing `m` separate label vectors.

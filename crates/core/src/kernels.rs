@@ -8,10 +8,10 @@
 //! inputs once into a cache-contiguous n×m row-major [`LabelMatrix`] of
 //! packed lanes and answers each pair by XOR-ing the two objects' label
 //! rows, reducing with the widest implementation the host CPU supports:
-//! AVX2 or SSE2+POPCNT vector compares on `x86-64`, NEON on `aarch64`
-//! (see [`dispatch`] and [`simd`]), or the dependency-free SWAR ("SIMD
-//! within a register") kernels below on any other target. All tiers
-//! produce exact integer counts, so every tier is bit-identical.
+//! AVX2 vector compares on `x86-64`, NEON on `aarch64` (see [`dispatch`]
+//! and [`simd`]), or the dependency-free SWAR ("SIMD within a register")
+//! kernels below on any other host. All tiers produce exact integer
+//! counts, so every tier is bit-identical.
 //!
 //! ## Lane layout
 //!
@@ -89,10 +89,14 @@ pub const MAX_U16_CODE: u64 = u16::MAX as u64;
 /// vector) so every SIMD tier can load whole vector groups from any row.
 pub const STRIDE_WORDS: usize = 4;
 
+/// Bytes of packed rows in one cache-blocked band (see
+/// [`LabelMatrix::preferred_band`]).
+const BAND_BYTES: usize = 16 * 1024;
+
 /// Column band width (in matrix rows) for cache-blocked condensed fills
-/// over packed rows when no [`LabelMatrix`] is available to ask — see
-/// [`LabelMatrix::preferred_band`] for the tier-aware figure.
-pub const PACKED_BAND: usize = 512;
+/// over packed rows when no [`LabelMatrix`] is available to ask — the
+/// [`LabelMatrix::preferred_band`] figure at the narrowest stride.
+pub const PACKED_BAND: usize = BAND_BYTES / (STRIDE_WORDS * 8);
 
 /// Equal-weight groups smaller than this stay on the scalar tail instead
 /// of getting their own packed block (one block per full `u16` word of
@@ -308,17 +312,13 @@ impl LabelMatrix {
         (self.words.len() as u64 + self.valid.len() as u64) * 8
     }
 
-    /// Cache-block band width (in rows) tuned for this matrix's tier and
-    /// row stride: the band should stay L1-resident while a row chunk
-    /// streams against it, and the SIMD tiers chew through rows fast
-    /// enough that a wider band amortizes the per-band loop overhead.
+    /// Cache-block band width (in rows) for this matrix's row stride: the
+    /// band (16 KiB of packed rows) stays L1-resident while a row chunk
+    /// streams against it. The figure does not depend on the tier, so the
+    /// batch counts a fill records are the same on every host.
     pub fn preferred_band(&self) -> usize {
         let row_bytes = self.stride.max(STRIDE_WORDS) * 8;
-        let target_bytes = match self.tier {
-            Tier::Scalar | Tier::Swar => 16 * 1024,
-            Tier::Sse2 | Tier::Avx2 | Tier::Avx512 | Tier::Neon => 32 * 1024,
-        };
-        (target_bytes / row_bytes).clamp(64, 4096)
+        (BAND_BYTES / row_bytes).clamp(64, 4096)
     }
 
     #[inline(always)]
@@ -362,32 +362,6 @@ impl LabelMatrix {
                 unsafe { simd::x86::sep_rows32_avx2(a, rows, self.stride, out) }
                 true
             }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U16) => {
-                // SAFETY: as above — AVX-512 F/BW/VL available,
-                // stride-sized slices.
-                unsafe { simd::x86::sep_rows16_avx512(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U32) => {
-                // SAFETY: as above.
-                unsafe { simd::x86::sep_rows32_avx512(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U16) => {
-                // SAFETY: as above — SSE2+POPCNT available, stride-sized
-                // slices (stride is a multiple of 4, hence of 2).
-                unsafe { simd::x86::sep_rows16_sse2(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U32) => {
-                // SAFETY: as above.
-                unsafe { simd::x86::sep_rows32_sse2(a, rows, self.stride, out) }
-                true
-            }
             #[cfg(target_arch = "aarch64")]
             (Tier::Neon, LaneWidth::U16) => {
                 // SAFETY: NEON confirmed available at tier selection;
@@ -422,26 +396,6 @@ impl LabelMatrix {
             (Tier::Avx2, LaneWidth::U32) => {
                 // SAFETY: as above.
                 Some(unsafe { simd::x86::sep_missing32_avx2(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U16) => {
-                // SAFETY: as above (AVX-512 F/BW/VL).
-                Some(unsafe { simd::x86::sep_missing16_avx512(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::x86::sep_missing32_avx512(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U16) => {
-                // SAFETY: as above (SSE2+POPCNT).
-                Some(unsafe { simd::x86::sep_missing16_sse2(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::x86::sep_missing32_sse2(a, b, &self.valid, self.stride) })
             }
             #[cfg(target_arch = "aarch64")]
             (Tier::Neon, LaneWidth::U16) => {

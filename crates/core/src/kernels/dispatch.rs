@@ -3,36 +3,30 @@
 //! The SWAR kernels in [`crate::kernels`] are the *universal* path: plain
 //! `u64` arithmetic, exact on any target with baseline codegen. On hosts
 //! with wider registers the same per-pair counts can be answered with one
-//! vector compare per 4 words (16 `u16` lanes), so this module picks —
-//! **once per process** — the widest implementation the CPU actually
-//! supports and hands it to every [`crate::kernels::LabelMatrix`] built
-//! afterwards:
+//! vector compare per group of words, so this module picks the widest
+//! implementation the CPU actually supports and hands it to every
+//! [`crate::kernels::LabelMatrix`] built afterwards. There is one vector
+//! tier per architecture:
 //!
 //! | Tier | Requires | Width per op |
 //! |---|---|---|
-//! | [`Tier::Avx512`] | `x86-64` with AVX-512 F/BW/VL | 8 × `u64` words (two rows per compare) |
-//! | [`Tier::Avx2`] | `x86-64` with AVX2 | 4 × `u64` words (16 `u16` lanes) |
-//! | [`Tier::Sse2`] | `x86-64` with SSE2 **and** POPCNT | 2 × `u64` words |
+//! | [`Tier::Avx2`] | `x86-64` with AVX2 and POPCNT | 4 × `u64` words (16 `u16` lanes) |
 //! | [`Tier::Neon`] | `aarch64` with NEON | 2 × `u64` words |
 //! | [`Tier::Swar`] | any | 1 × `u64` word (SWAR) |
 //! | [`Tier::Scalar`] | any | one lane at a time (reference-grade) |
 //!
 //! Selection order: a scoped [`with_forced_tier`] override (tests and the
-//! tier-vs-tier benchmarks) beats the `AGGCLUST_SIMD` environment
-//! variable (`auto`, `scalar`, `swar`, `sse2`, `avx2`, `avx512`, `neon`;
-//! read once), which beats feature detection (`is_x86_feature_detected!` /
-//! `is_aarch64_feature_detected!`). Forcing a tier the host cannot run
-//! falls back to detection with a warning — silently emitting illegal
-//! instructions is never an option. The tier actually used is recorded in
-//! the `kernels_dispatch_tier` metric, so run reports and traces state
-//! which code path produced their numbers.
+//! tier-vs-tier benchmarks) beats feature detection
+//! (`is_x86_feature_detected!` / `is_aarch64_feature_detected!`), which
+//! never yields a tier the host cannot run. The tier actually used is
+//! recorded in the `kernels_dispatch_tier` metric, so run reports and
+//! traces state which code path produced their numbers.
 //!
 //! Every tier returns **bit-identical distances**: the conformance suites
 //! (`kernel_conformance.rs`, `kernel_metamorphic.rs`) run their full size
 //! grids under every tier reachable on the host and compare `f64::to_bits`.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// A kernel implementation tier, from portable reference to widest SIMD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,36 +35,22 @@ pub enum Tier {
     Scalar,
     /// SWAR on plain `u64` words (the universal fallback).
     Swar,
-    /// SSE2 vector compares + POPCNT reductions (`x86-64`).
-    Sse2,
     /// AVX2: 4 words / 16 `u16` lanes per vector op (`x86-64`).
     Avx2,
-    /// AVX-512 (F + BW + VL): mask-register compares covering two packed
-    /// rows per 512-bit op (`x86-64`).
-    Avx512,
     /// NEON 128-bit vector compares (`aarch64`).
     Neon,
 }
 
 /// Every tier, in ascending width order.
-pub const ALL_TIERS: [Tier; 6] = [
-    Tier::Scalar,
-    Tier::Swar,
-    Tier::Sse2,
-    Tier::Avx2,
-    Tier::Avx512,
-    Tier::Neon,
-];
+pub const ALL_TIERS: [Tier; 4] = [Tier::Scalar, Tier::Swar, Tier::Avx2, Tier::Neon];
 
 impl Tier {
-    /// Stable lower-case name (`AGGCLUST_SIMD` value, metric label).
+    /// Stable lower-case name (metric label, host block).
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
             Tier::Swar => "swar",
-            Tier::Sse2 => "sse2",
             Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
             Tier::Neon => "neon",
         }
     }
@@ -81,16 +61,9 @@ impl Tier {
         match self {
             Tier::Scalar => 1,
             Tier::Swar => 2,
-            Tier::Sse2 => 3,
             Tier::Avx2 => 4,
             Tier::Neon => 5,
-            Tier::Avx512 => 6,
         }
-    }
-
-    /// Parse a tier name (the non-`auto` `AGGCLUST_SIMD` values).
-    pub fn from_name(s: &str) -> Option<Tier> {
-        ALL_TIERS.into_iter().find(|t| t.name() == s)
     }
 
     /// `true` if this tier can execute on the current host.
@@ -98,21 +71,9 @@ impl Tier {
         match self {
             Tier::Scalar | Tier::Swar => true,
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => is_x86_feature_detected!("sse2") && is_x86_feature_detected!("popcnt"),
-            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512bw")
-                    && is_x86_feature_detected!("avx512vl")
-                    && is_x86_feature_detected!("popcnt")
-            }
             #[cfg(target_arch = "aarch64")]
             Tier::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            _ => false,
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
             _ => false,
         }
     }
@@ -127,7 +88,7 @@ pub fn tier_code_name(code: u64) -> &'static str {
         .map_or("none", Tier::name)
 }
 
-/// The widest tier the host supports (what `AGGCLUST_SIMD=auto` picks).
+/// The widest tier the host supports (what detection picks).
 pub fn best_available() -> Tier {
     ALL_TIERS
         .into_iter()
@@ -142,22 +103,15 @@ pub fn reachable_tiers() -> Vec<Tier> {
     ALL_TIERS.into_iter().filter(|t| t.is_available()).collect()
 }
 
-/// CPU features relevant to tier selection that this host actually has
+/// CPU features that tier selection checks and this host actually has
 /// (recorded in the run report's host block).
 pub fn detected_features() -> Vec<&'static str> {
     let mut features = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
         for (name, present) in [
-            ("sse2", is_x86_feature_detected!("sse2")),
-            ("ssse3", is_x86_feature_detected!("ssse3")),
-            ("sse4.2", is_x86_feature_detected!("sse4.2")),
             ("popcnt", is_x86_feature_detected!("popcnt")),
-            ("avx", is_x86_feature_detected!("avx")),
             ("avx2", is_x86_feature_detected!("avx2")),
-            ("avx512f", is_x86_feature_detected!("avx512f")),
-            ("avx512bw", is_x86_feature_detected!("avx512bw")),
-            ("avx512vl", is_x86_feature_detected!("avx512vl")),
         ] {
             if present {
                 features.push(name);
@@ -177,64 +131,17 @@ thread_local! {
     static TIER_OVERRIDE: Cell<Option<Tier>> = const { Cell::new(None) };
 }
 
-/// `(resolved tier, requested spec)` from `AGGCLUST_SIMD`, read once.
-static ENV_TIER: OnceLock<(Tier, String)> = OnceLock::new();
-
-fn env_tier() -> &'static (Tier, String) {
-    ENV_TIER.get_or_init(|| {
-        let spec = std::env::var("AGGCLUST_SIMD").unwrap_or_default();
-        let trimmed = spec.trim().to_ascii_lowercase();
-        let requested = if trimmed.is_empty() {
-            "auto".to_string()
-        } else {
-            trimmed
-        };
-        let tier = match requested.as_str() {
-            "auto" => best_available(),
-            name => match Tier::from_name(name) {
-                Some(t) if t.is_available() => t,
-                Some(t) => {
-                    crate::warn!(
-                        "AGGCLUST_SIMD tier is not available on this host; using detection",
-                        requested = t.name(),
-                        selected = best_available().name()
-                    );
-                    best_available()
-                }
-                None => {
-                    crate::warn!(
-                        "unknown AGGCLUST_SIMD value; expected auto|scalar|swar|sse2|avx2|avx512|neon",
-                        requested = requested.as_str(),
-                        selected = best_available().name()
-                    );
-                    best_available()
-                }
-            },
-        };
-        (tier, requested)
-    })
-}
-
 /// The tier new [`crate::kernels::LabelMatrix`] builds will use on this
-/// thread: scoped override > `AGGCLUST_SIMD` > detection.
+/// thread: scoped override > detection.
 pub fn selected() -> Tier {
-    if let Some(t) = TIER_OVERRIDE.get() {
-        return t;
-    }
-    env_tier().0
-}
-
-/// What the user asked for: the `AGGCLUST_SIMD` value, or `"auto"`.
-pub fn requested() -> &'static str {
-    &env_tier().1
+    TIER_OVERRIDE.get().unwrap_or_else(best_available)
 }
 
 /// Run `f` with the dispatch tier pinned to `tier` on the current thread,
 /// restoring the previous selection afterwards (also on panic). Matrices
 /// *built* inside `f` keep the forced tier for their whole lifetime; the
 /// override does not retroactively change existing matrices. Intended for
-/// the conformance suites and tier-vs-tier benchmarks; production callers
-/// should use the `AGGCLUST_SIMD` environment variable.
+/// the conformance suites and tier-vs-tier benchmarks.
 ///
 /// # Panics
 /// Panics if `tier` cannot run on this host (forcing it would execute
@@ -272,16 +179,15 @@ mod tests {
     #[test]
     fn names_and_codes_round_trip() {
         for tier in ALL_TIERS {
-            assert_eq!(Tier::from_name(tier.name()), Some(tier));
             assert_eq!(tier_code_name(tier.code()), tier.name());
         }
         assert_eq!(tier_code_name(0), "none");
-        assert_eq!(Tier::from_name("auto"), None);
     }
 
     #[test]
     fn forced_tier_is_scoped_and_restored() {
         let outer = selected();
+        assert_eq!(outer, best_available());
         let inner = with_forced_tier(Tier::Scalar, selected);
         assert_eq!(inner, Tier::Scalar);
         assert_eq!(selected(), outer);

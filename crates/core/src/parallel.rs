@@ -4,7 +4,7 @@
 //! materialization, the cost functions, and the per-node scans inside BALLS
 //! and FURTHEST — funnels through the primitives in this module. The
 //! design goal is *bit-identical results at any thread count*, so the
-//! parallel feature can never change what an algorithm returns:
+//! thread count can never change what an algorithm returns:
 //!
 //! * Work is split into **fixed chunks whose boundaries depend only on the
 //!   problem size**, never on the number of worker threads.
@@ -13,9 +13,8 @@
 //!   **sequentially in chunk order**. The arg-max combine keeps the
 //!   earliest-index winner on ties, matching a serial strict-comparison
 //!   scan.
-//! * The serial fallback (`--no-default-features`) executes the *same*
-//!   chunked schedule sequentially, so builds with and without the
-//!   `parallel` feature also agree bit-for-bit.
+//! * At one thread the *same* chunked schedule runs sequentially on the
+//!   calling thread, so a serial run agrees bit-for-bit too.
 //!
 //! Threads are plain `std::thread::scope` workers draining a shared queue
 //! of chunk jobs; the environment is expected to be offline, so no external
@@ -23,8 +22,8 @@
 //! precedence: a scoped [`with_num_threads`] override (used by the
 //! determinism tests to compare thread counts inside one process), the
 //! `RAYON_NUM_THREADS` environment variable (read once), and
-//! `std::thread::available_parallelism`. Without the `parallel` feature the
-//! count is always 1 and no threads are ever spawned.
+//! `std::thread::available_parallelism`. At a count of 1 no threads are
+//! ever spawned.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -61,12 +60,8 @@ fn env_threads() -> Option<usize> {
 
 /// The number of worker threads parallel primitives may use on this thread.
 ///
-/// Always 1 without the `parallel` feature. Results never depend on this
-/// value — only wall-clock time does.
+/// Results never depend on this value — only wall-clock time does.
 pub fn current_num_threads() -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     if let Some(n) = THREAD_OVERRIDE.get() {
         return n;
     }
@@ -94,7 +89,7 @@ pub fn with_num_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Execute every job, in parallel when the feature and thread count allow.
+/// Execute every job, in parallel when the thread count allows.
 /// Job order of *execution* is unspecified; callers must make each job
 /// write to disjoint state (typically a `&mut` chunk or partial slot).
 fn run_jobs<T, F>(jobs: Vec<T>, f: F)
@@ -102,7 +97,6 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    #[cfg(feature = "parallel")]
     if jobs.len() > 1 {
         let threads = current_num_threads().min(jobs.len());
         if threads > 1 {
@@ -587,12 +581,7 @@ mod tests {
     #[test]
     fn override_is_scoped_and_restored() {
         let outer = current_num_threads();
-        let inner = with_num_threads(3, current_num_threads);
-        if cfg!(feature = "parallel") {
-            assert_eq!(inner, 3);
-        } else {
-            assert_eq!(inner, 1);
-        }
+        assert_eq!(with_num_threads(3, current_num_threads), 3);
         assert_eq!(current_num_threads(), outer);
     }
 }

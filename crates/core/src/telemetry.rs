@@ -1280,7 +1280,7 @@ impl TimingsSnapshot {
 
 /// JSON object describing the host the process is running on: arch, OS,
 /// CPU count, the CPU features relevant to kernel dispatch, and the
-/// requested/selected SIMD tier. Embedded in every run report so a
+/// selected SIMD tier. Embedded in every run report so a
 /// benchmark number always states what hardware and code path produced it
 /// (e.g. "speedup measured on a 1-CPU host" is machine-readable).
 pub fn host_report_json() -> String {
@@ -1291,12 +1291,11 @@ pub fn host_report_json() -> String {
         .map(|f| json_string(f))
         .collect();
     format!(
-        "{{\"arch\":{},\"os\":{},\"cpus\":{},\"features\":[{}],\"simd_requested\":{},\"simd_selected\":{}}}",
+        "{{\"arch\":{},\"os\":{},\"cpus\":{},\"features\":[{}],\"simd_selected\":{}}}",
         json_string(std::env::consts::ARCH),
         json_string(std::env::consts::OS),
         cpus,
         features.join(","),
-        json_string(dispatch::requested()),
         json_string(dispatch::selected().name()),
     )
 }

@@ -6,7 +6,8 @@
 //! object, word boundaries at m = 63/64/65, lane-width boundaries at
 //! 65535/65536 clusters), across thread counts, and — via
 //! [`dispatch::with_forced_tier`] — under **every SIMD dispatch tier the
-//! host can reach** (scalar, SWAR, SSE2, AVX2, NEON where available).
+//! host can reach** (scalar, SWAR, and AVX2 on `x86-64` or NEON on
+//! `aarch64` where the CPU has it).
 
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle, MissingPolicy};
